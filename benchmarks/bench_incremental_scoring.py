@@ -2,10 +2,11 @@
 
 Single-stream serving used to re-run the full ``FastForwardPlan`` forward for
 every arriving sample -- O(window) work per sample at window 64.  The
-incremental plans (:class:`repro.nn.IncrementalForwardPlan` and its int8
-twin) compute only each layer's newest activation column per sample, and
-their chunked ``push_many`` amortises the per-push Python dispatch on replay
-and micro-batched ingestion.  Both are bit-identical to the batch plan (the
+streaming driver (:class:`repro.nn.IncrementalForwardPlan`, one class over
+the float and the int8 kernel) computes only each layer's newest activation
+column per sample, and its chunked ``push_many`` amortises the per-push
+Python dispatch on replay and micro-batched ingestion.  On either kernel it
+is bit-identical to the batch plan (the
 parity suites in ``tests/test_nn/test_incremental.py`` and
 ``tests/test_serve/test_incremental_serving.py`` enforce exact equality);
 this benchmark gates the speed claim: **>= 5x single-stream samples/sec over

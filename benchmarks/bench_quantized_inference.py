@@ -3,9 +3,11 @@
 Measures what the edge deployment subsystem buys and what it costs:
 
 * **Throughput** -- batched ``score_windows_batch`` wall-clock of a
-  float VARADE (the :class:`repro.nn.FastForwardPlan` float64 fast path)
-  versus its int8 drop-in (:class:`repro.nn.QuantizedForwardPlan`) at equal
-  batch sizes.  Acceptance: >= 1.5x at the largest batch.
+  float VARADE (the :class:`repro.nn.FastForwardPlan` float64 kernel)
+  versus its int8 drop-in (the :class:`repro.nn.QuantizedForwardPlan`
+  kernel; both sit under the one streaming driver, which this batched
+  experiment does not exercise) at equal batch sizes.  Acceptance: >= 1.5x
+  at the largest batch.
 * **Accuracy** -- AUC-ROC of float vs int8 on the labelled synthetic anomaly
   benchmark (:func:`repro.data.build_synthetic_anomaly_dataset`), plus the
   in-distribution score drift.  Acceptance: AUC within 2 points.

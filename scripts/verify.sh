@@ -61,7 +61,7 @@ if [[ "$mode" != "--benchmarks-only" ]]; then
 
     echo
     echo "== docs: runnable docstring examples + Markdown links =="
-    python -m pytest --doctest-modules src/repro/obs src/repro/serve src/repro/cluster -q
+    python -m pytest --doctest-modules src/repro/nn src/repro/obs src/repro/serve src/repro/cluster -q
     python scripts/check_links.py
 fi
 

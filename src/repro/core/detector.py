@@ -312,11 +312,12 @@ class AnomalyDetector(abc.ABC):
 
 
 class VaradeIncrementalScorer:
-    """O(1)-per-sample VARADE scoring around an incremental forward plan.
+    """O(1)-per-sample VARADE scoring around the streaming forward driver.
 
-    Wraps either a float :class:`repro.nn.IncrementalForwardPlan` or an int8
-    :class:`repro.nn.IncrementalQuantizedPlan` (both expose the same
-    ``push`` / ``push_many`` / ``reset`` surface) and maps the ``log_var``
+    Wraps a :class:`repro.nn.IncrementalForwardPlan` -- the one streaming
+    driver, built over either numeric kernel (the float
+    :class:`repro.nn.FastForwardPlan` or the int8
+    :class:`repro.nn.QuantizedForwardPlan`) -- and maps the ``log_var``
     head to the paper's anomaly score -- the mean predicted variance --
     with exactly the clipping and reduction the batch path applies, so an
     incremental score is bit-identical to the ``score_windows_batch`` score
@@ -326,14 +327,20 @@ class VaradeIncrementalScorer:
     def __init__(self, plan) -> None:
         self._plan = plan
 
-    @property
-    def samples_seen(self) -> int:
-        return self._plan.samples_seen
+    @classmethod
+    def for_plan(cls, batch_plan) -> Optional["VaradeIncrementalScorer"]:
+        """A fresh scorer streaming over ``batch_plan`` (float or int8).
 
-    @property
-    def warm(self) -> bool:
-        """Whether the next push falls past the warm-up prefix."""
-        return self._plan.warm
+        Only the ``log_var`` head is evaluated (the score never uses the
+        mean).  Returns ``None`` when the conv stack cannot be updated
+        causally (padded or non-right-anchored convs) or the float kernel's
+        BLAS width-class probe rejects the incremental call shapes --
+        callers fall back to ``score_windows_batch``.
+        """
+        try:
+            return cls(nn.IncrementalForwardPlan(batch_plan, heads=("log_var",)))
+        except (TypeError, ValueError):
+            return None
 
     def reset(self) -> None:
         """Forget all stream state (call on any gap in the stream)."""
@@ -471,21 +478,10 @@ class VaradeDetector(AnomalyDetector):
         return np.exp(log_var).mean(axis=1)
 
     def incremental_scorer(self) -> Optional[VaradeIncrementalScorer]:
-        """Per-stream O(1)-per-sample scorer, bit-identical to the batch path.
-
-        Only the ``log_var`` head is evaluated (the score never uses the
-        mean).  Returns ``None`` when the network's conv stack cannot be
-        updated causally (padded or non-right-anchored convs) or when the
-        BLAS width-class probe rejects the incremental call shapes --
-        callers fall back to :meth:`score_windows_batch`.
-        """
+        """Per-stream O(1)-per-sample scorer, bit-identical to the batch path
+        (``None`` where :meth:`VaradeIncrementalScorer.for_plan` says so)."""
         self._check_fitted()
-        try:
-            plan = nn.IncrementalForwardPlan(self.network._fast_plan,
-                                             heads=("log_var",))
-        except (TypeError, ValueError):
-            return None
-        return VaradeIncrementalScorer(plan)
+        return VaradeIncrementalScorer.for_plan(self.network._fast_plan)
 
     def forecast(self, window: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Return (mean, variance) of the next-sample distribution for one window."""

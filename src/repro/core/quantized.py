@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..nn.quant import IncrementalQuantizedPlan, QuantizedForwardPlan
+from ..nn.quant import QuantizedForwardPlan
 from .config import VaradeConfig
 from .detector import (AnomalyDetector, InferenceCost, TrainingHistory,
                        VaradeDetector, VaradeIncrementalScorer)
@@ -181,18 +181,9 @@ class QuantizedVaradeDetector(AnomalyDetector):
         return np.exp(log_var).mean(axis=1)
 
     def incremental_scorer(self) -> Optional[VaradeIncrementalScorer]:
-        """Int8 per-stream O(1)-per-sample scorer (bit-identical to batch).
-
-        The int8 plan needs no BLAS probe -- its staged GEMMs are exact
-        integers by construction -- but a non-right-anchored conv still
-        rules the causal update out, in which case ``None`` is returned
-        and callers fall back to :meth:`score_windows_batch`.
-        """
-        try:
-            plan = IncrementalQuantizedPlan(self.plan, heads=["log_var"])
-        except (TypeError, ValueError):
-            return None
-        return VaradeIncrementalScorer(plan)
+        """Int8 per-stream O(1)-per-sample scorer, bit-identical to the batch
+        path (``None`` where :meth:`VaradeIncrementalScorer.for_plan` says so)."""
+        return VaradeIncrementalScorer.for_plan(self.plan)
 
     # ------------------------------------------------------------------ #
     # Cost

@@ -19,12 +19,29 @@ This module is the vectorized fast path used by
   Buffers are allocated once per batch size and reused, so steady-state
   streaming inference allocates almost nothing.
 
-* :class:`IncrementalForwardPlan` is the single-stream streaming twin: it
-  keeps a ring buffer of every layer's per-sample activation columns so that
-  :meth:`~IncrementalForwardPlan.push` of one new sample computes only the
-  newest timestep's column per layer -- O(layers) work per sample instead of
-  the batch plan's O(window x layers) -- while staying bit-identical to
-  :meth:`FastForwardPlan.forward` on the same window.
+* :class:`IncrementalForwardPlan` is the single-stream streaming driver: it
+  keeps every layer's recent activation columns so that one pushed sample
+  costs one new column per layer -- O(layers) instead of the batch plan's
+  O(window x layers) -- bit-identical to ``forward`` on the same window.
+
+Two kernels, one driver
+-----------------------
+
+:class:`FastForwardPlan` (float64) and
+:class:`repro.nn.quant.QuantizedForwardPlan` (int8 codes carried in float32)
+are the two numeric kernels; :class:`IncrementalForwardPlan` is the one
+streaming driver over both.  The driver owns only the sliding state
+(buffers, positions, warm-up counters, compaction, the one-column ``push``
+and the blocked ``push_many``) and asks the plan for every number through
+the methods both kernels define: ``_stream_ops`` / ``_stream_stale`` (per
+layer, the width new columns are zero-padded to and the GEMM operands, and
+whether they must be re-bound), ``_stage`` (samples to first-layer operand
+columns), ``_conv_columns`` (one layer's new output columns) and
+``_head_rows`` (the linear heads).  Each plan's ``forward`` runs the same
+head routine (int8 also the same stage and conv-column routines); only the
+float *batch* convolution keeps its own call shape -- one ``(O, C*K) x
+(C*K, L)`` matmul per batch slice -- the bit contract the golden fixtures
+were recorded under.
 
 Numerical contract: for a fixed input row the outputs are bit-identical no
 matter which batch the row is scored in.  The convolution contracts every
@@ -33,7 +50,7 @@ batch slice with the same ``(O, C*K) x (C*K, L)`` matmul, and the heads use
 score-parity suite (``tests/test_edge/test_fleet_parity.py``) relies on this
 to compare batched multi-stream scores against the sequential runtime.
 
-The incremental plan extends the contract to single-column updates.  BLAS
+The float kernel extends the contract to single-column updates.  BLAS
 gemm kernels round differently depending on the output width class, so a
 naive one-column matmul would drift from the batch result by ~1 ULP.  The
 plan therefore picks, per conv layer and verified by a construction-time
@@ -52,7 +69,7 @@ bit-identical to the batch matmul:
 
 :meth:`IncrementalForwardPlan.push_many` amortises the per-call Python
 overhead by advancing whole blocks of samples at once -- each layer
-computes all of a block's new columns in one (``pad8``) or a few
+computes all of a block's new columns in one (``pad8``, int8) or a few
 (``padL``) gemm calls of the probed width class, which is where the
 single-stream throughput win over the batch plan comes from.
 
@@ -65,13 +82,13 @@ the batch plan -- the fallback path, never silent drift.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .layers import Conv1d, Linear, ReLU, Sequential
-from .module import Module
 
 __all__ = ["fast_conv1d", "FastForwardPlan", "IncrementalForwardPlan"]
 
@@ -164,6 +181,59 @@ def fast_conv1d(x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray] = 
     return out
 
 
+def _conv_chain_shapes(convs: Sequence, heads: Mapping[str, object],
+                       in_channels: int, in_length: int) -> List[Tuple[int, int]]:
+    """``(channels, length)`` after each conv of a float or int8 backbone
+    (the layer classes share attribute names), validating the channel chain,
+    the sequence length and that the heads consume the flattened result."""
+    shapes: List[Tuple[int, int]] = []
+    channels, length = in_channels, in_length
+    for conv in convs:
+        if conv.in_channels != channels:
+            raise ValueError(
+                f"backbone expects {conv.in_channels} channels, carrying {channels}"
+            )
+        length = conv.output_length(length)
+        if length <= 0:
+            raise ValueError("backbone reduces the sequence to zero length")
+        channels = conv.out_channels
+        shapes.append((channels, length))
+    for name, head in heads.items():
+        if head.in_features != channels * length:
+            raise ValueError(
+                f"head {name!r} expects {head.in_features} features, backbone "
+                f"produces {channels * length}"
+            )
+    return shapes
+
+
+def _relu_placement(kinds: Iterable[str]) -> Tuple[bool, List[bool]]:
+    """Where the ReLUs of a ``conv``/``relu`` step list sit: ``(before the
+    first conv?, [between conv i and its consumer?])``."""
+    leading, after = False, []
+    for kind in kinds:
+        if kind == "conv":
+            after.append(False)
+        elif after:
+            after[-1] = True
+        else:
+            leading = True
+    return leading, after
+
+
+def _lru_buffers(cache: "OrderedDict[int, dict]", batch: int,
+                 allocate: Callable[[int], dict]) -> dict:
+    """A plan's buffer set for ``batch`` rows, least recently used evicted."""
+    buffers = cache.get(batch)
+    if buffers is not None:
+        cache.move_to_end(batch)
+        return buffers
+    buffers = cache[batch] = allocate(batch)
+    while len(cache) > _MAX_CACHED_BATCH_SIZES:
+        cache.popitem(last=False)
+    return buffers
+
+
 class FastForwardPlan:
     """Preallocated, graph-free forward pass for a conv backbone with heads.
 
@@ -172,7 +242,8 @@ class FastForwardPlan:
     shape, then executes the whole stack with ``matmul``/``einsum`` into
     reusable buffers.  Weights are read from the source modules at call time,
     so the plan stays valid across optimiser steps and
-    :meth:`~repro.nn.module.Module.load_state_dict`.
+    :meth:`~repro.nn.module.Module.load_state_dict`.  It is also the float
+    kernel of :class:`IncrementalForwardPlan`.
 
     .. warning::
        :meth:`forward` returns views of internal buffers that are overwritten
@@ -180,72 +251,51 @@ class FastForwardPlan:
        derive new arrays from) anything they keep.
     """
 
+    #: dtype of the activation columns a streaming driver buffers
+    _act_dtype = np.float64
+
     def __init__(self, backbone: Sequential, heads: Mapping[str, Linear],
                  in_channels: int, in_length: int) -> None:
         if not heads:
             raise ValueError("FastForwardPlan needs at least one head")
-        self._steps: List[Tuple[str, Optional[Module]]] = []
-        self._shapes: List[Tuple[int, int]] = []  # (channels, length) after each conv
-        channels, length = in_channels, in_length
+        self._convs: List[Conv1d] = []
+        kinds: List[str] = []
         for layer in backbone:
             if isinstance(layer, Conv1d):
-                if layer.in_channels != channels:
-                    raise ValueError(
-                        f"backbone expects {layer.in_channels} channels, carrying {channels}"
-                    )
-                length = layer.output_length(length)
-                if length <= 0:
-                    raise ValueError("backbone reduces the sequence to zero length")
-                channels = layer.out_channels
-                self._steps.append(("conv", layer))
-                self._shapes.append((channels, length))
+                self._convs.append(layer)
+                kinds.append("conv")
             elif isinstance(layer, ReLU):
-                self._steps.append(("relu", None))
+                kinds.append("relu")
             else:
                 raise TypeError(
                     f"FastForwardPlan supports Conv1d/ReLU backbones, got {type(layer).__name__}"
                 )
-        self._flat_features = channels * length
         for name, head in heads.items():
             if not isinstance(head, Linear):
                 raise TypeError(f"head {name!r} must be a Linear layer")
-            if head.in_features != self._flat_features:
-                raise ValueError(
-                    f"head {name!r} expects {head.in_features} features, backbone "
-                    f"produces {self._flat_features}"
-                )
+        #: (channels, length) after each conv
+        self._shapes = _conv_chain_shapes(self._convs, heads, in_channels, in_length)
+        self._leading_relu, self._relu_after = _relu_placement(kinds)
         self._heads = dict(heads)
         self._in_channels = in_channels
         self._in_length = in_length
         self._buffers: "OrderedDict[int, dict]" = OrderedDict()
+        #: per conv update scheme (padL group width, 0 for pad8), probed on
+        #: the first streaming use
+        self._groups: Optional[List[int]] = None
 
     # ------------------------------------------------------------------ #
-    # Buffer management
+    # Batch execution
     # ------------------------------------------------------------------ #
-    def _get_buffers(self, batch: int) -> dict:
-        cached = self._buffers.get(batch)
-        if cached is not None:
-            self._buffers.move_to_end(batch)
-            return cached
-        cols: List[np.ndarray] = []
-        outs: List[np.ndarray] = []
-        for step, layer in self._steps:
-            if step != "conv":
-                continue
-            out_channels, out_length = self._shapes[len(outs)]
-            cols.append(np.empty((batch, layer.in_channels * layer.kernel_size, out_length)))
-            outs.append(np.empty((batch, out_channels, out_length)))
+    def _allocate(self, batch: int) -> dict:
+        cols = [np.empty((batch, conv.in_channels * conv.kernel_size, out_length))
+                for conv, (_, out_length) in zip(self._convs, self._shapes)]
+        outs = [np.empty((batch, out_channels, out_length))
+                for out_channels, out_length in self._shapes]
         heads = {name: np.empty((batch, head.out_features))
                  for name, head in self._heads.items()}
-        buffers = {"cols": cols, "outs": outs, "heads": heads}
-        self._buffers[batch] = buffers
-        while len(self._buffers) > _MAX_CACHED_BATCH_SIZES:
-            self._buffers.popitem(last=False)
-        return buffers
+        return {"cols": cols, "outs": outs, "heads": heads}
 
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
     def forward(self, x: np.ndarray) -> Dict[str, np.ndarray]:
         """Run the backbone and heads over ``x`` of shape ``(N, C, L)``.
 
@@ -258,39 +308,110 @@ class FastForwardPlan:
                 f"expected input of shape (batch, {self._in_channels}, "
                 f"{self._in_length}), got {x.shape}"
             )
-        buffers = self._get_buffers(x.shape[0])
-        current = x
-        conv_index = 0
-        for step, layer in self._steps:
-            if step == "conv":
-                current = fast_conv1d(
-                    current,
-                    layer.weight.data,
-                    None if layer.bias is None else layer.bias.data,
-                    stride=layer.stride,
-                    padding=layer.padding,
-                    cols_buf=buffers["cols"][conv_index],
-                    out=buffers["outs"][conv_index],
-                )
-                conv_index += 1
-            elif current is x:
-                # A ReLU before any convolution must not clobber the caller's
-                # array (ascontiguousarray returns the input unchanged when it
-                # is already contiguous).
-                current = np.maximum(current, 0.0)
-            else:  # relu, in place on the conv output buffer
+        buffers = _lru_buffers(self._buffers, x.shape[0], self._allocate)
+        # A leading ReLU must not clobber the caller's array (ascontiguousarray
+        # returns contiguous input as is); the others run in place on buffers.
+        current = np.maximum(x, 0.0) if self._leading_relu else x
+        for index, (conv, relu) in enumerate(zip(self._convs, self._relu_after)):
+            current = fast_conv1d(
+                current, conv.weight.data,
+                None if conv.bias is None else conv.bias.data,
+                stride=conv.stride, padding=conv.padding,
+                cols_buf=buffers["cols"][index], out=buffers["outs"][index])
+            if relu:
                 np.maximum(current, 0.0, out=current)
-        flat = current.reshape(current.shape[0], -1)
+        return self._head_rows(current.reshape(current.shape[0], -1),
+                               self._heads, buffers["heads"])
+
+    # ------------------------------------------------------------------ #
+    # Numeric kernel surface (shared with QuantizedForwardPlan)
+    # ------------------------------------------------------------------ #
+    def _head_rows(self, flat: np.ndarray, heads: Mapping[str, Linear],
+                   outs: Optional[Mapping[str, np.ndarray]] = None
+                   ) -> Dict[str, np.ndarray]:
+        """``heads`` over ``(N, features)`` rows, into ``outs`` or fresh arrays."""
         results: Dict[str, np.ndarray] = {}
-        for name, head in self._heads.items():
-            out = buffers["heads"][name]
+        for name, head in heads.items():
             # einsum keeps the reduction order independent of the batch size,
-            # which the batched-vs-sequential score parity guarantee needs.
-            np.einsum("nf,of->no", flat, head.weight.data, out=out)
+            # which the batched-vs-sequential (and push-vs-batch) score
+            # parity guarantee needs.
+            out = np.einsum("nf,of->no", flat, head.weight.data,
+                            out=None if outs is None else outs[name])
             if head.bias is not None:
                 out += head.bias.data
             results[name] = out
         return results
+
+    def _stage(self, values: np.ndarray, out: np.ndarray) -> None:
+        """Raw samples to first-layer operand columns."""
+        if self._leading_relu:
+            np.maximum(values, 0.0, out=out)
+        else:
+            np.copyto(out, values)
+
+    def _conv_columns(self, op: tuple, gather: np.ndarray,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
+        """One layer's output columns for the im2col columns in ``gather``,
+        whose width is a multiple of the layer's probed update width."""
+        w2d, bias_col, relu, group, _, _ = op
+        if group and gather.shape[1] > group:
+            # padL block: groups at exactly the batch call width
+            out = np.empty((w2d.shape[0], gather.shape[1]))
+            for g in range(0, gather.shape[1], group):
+                out[:, g:g + group] = w2d @ np.ascontiguousarray(
+                    gather[:, g:g + group])
+        else:
+            # one call: a single padL group, or a multiple-of-8 width in
+            # which every column sits in a full width-8 chunk (pad8)
+            out = np.matmul(w2d, gather, out=out)
+        if bias_col is not None:
+            out += bias_col
+        if relu:
+            np.maximum(out, 0.0, out=out)
+        return out
+
+    def _stream_ops(self) -> Tuple[List[int], List[tuple]]:
+        """Per conv, the width new columns are zero-padded to and the operands
+        of :meth:`_conv_columns`: live 2-D parameter views (in-place updates
+        stay visible), ReLU flag, padL group, and the arrays viewed."""
+        if self._groups is None:
+            self._groups = [self._probe_group(conv, out_length) for conv, (_, out_length)
+                            in zip(self._convs, self._shapes)]
+        ops = [(self._weight_2d(conv),
+                None if conv.bias is None else conv.bias.data.reshape(-1, 1),
+                relu, group, conv.weight.data,
+                None if conv.bias is None else conv.bias.data)
+               for conv, relu, group in zip(self._convs, self._relu_after, self._groups)]
+        return [group or _GEMM_CHUNK for group in self._groups], ops
+
+    def _stream_stale(self, ops: List[tuple]) -> bool:
+        """Whether an optimiser step or ``load_state_dict`` has *replaced* a
+        parameter array since ``ops`` viewed it (one identity check each)."""
+        for conv, (_, _, _, _, weight, bias) in zip(self._convs, ops):
+            if conv.weight.data is not weight or (
+                    conv.bias is not None and conv.bias.data is not bias):
+                return True
+        return False
+
+    @staticmethod
+    def _weight_2d(conv: Conv1d) -> np.ndarray:
+        return np.ascontiguousarray(conv.weight.data).reshape(
+            conv.out_channels, conv.in_channels * conv.kernel_size)
+
+    @classmethod
+    def _probe_group(cls, conv: Conv1d, out_length: int) -> int:
+        """The layer's update scheme, probed against the batch call with the
+        real layer weight: 0 for pad8, the group width ``L_out`` for padL."""
+        w2d = cls._weight_2d(conv)
+        if out_length % _GEMM_CHUNK == 0 and _probe_update_scheme(
+                w2d, w2d.shape[1], out_length, _GEMM_CHUNK):
+            return 0
+        if _probe_update_scheme(w2d, w2d.shape[1], out_length, out_length):
+            return out_length
+        raise ValueError(
+            "incremental plan disabled: this BLAS build reproduces none of "
+            "the padded update call shapes bit for bit"
+        )
 
 
 #: gemm output-width chunk: columns inside full width-8 chunks share their
@@ -345,173 +466,123 @@ def _probe_update_scheme(w2d: np.ndarray, depth: int, out_length: int,
     return True
 
 
-class _IncrementalConv:
-    """Static per-layer recipe of an incremental plan (no stream state)."""
-
-    __slots__ = ("layer", "relu_after", "in_channels", "out_channels",
-                 "depth", "kernel", "stride", "out_length", "d_in", "d_out",
-                 "first_t", "mode", "width", "w2d", "bias_col")
-
-    def __init__(self, layer: Conv1d, in_channels: int, out_length: int,
-                 d_in: int) -> None:
-        self.layer = layer
-        self.relu_after = False
-        self.in_channels = in_channels
-        self.out_channels = layer.out_channels
-        self.kernel = layer.kernel_size
-        self.stride = layer.stride
-        self.depth = in_channels * layer.kernel_size
-        self.out_length = out_length
-        self.d_in = d_in
-        self.d_out = d_in * layer.stride
-        self.first_t = 0     # assigned once the update mode is known
-        self.mode = ""
-        self.width = 0
-        # Views into the live parameter memory (reshape of a contiguous
-        # array): in-place weight updates stay visible, rebinding
-        # ``weight.data`` requires building a new incremental plan.
-        self.w2d = np.ascontiguousarray(
-            layer.weight.data).reshape(self.out_channels, self.depth)
-        self.bias_col = None if layer.bias is None \
-            else layer.bias.data.reshape(-1, 1)
-
-
 class IncrementalForwardPlan:
-    """O(layers)-per-sample streaming twin of :class:`FastForwardPlan`.
+    """O(layers)-per-sample streaming driver over a batch plan.
 
-    One instance carries the per-stream state of a single session: a sliding
-    buffer per layer holding that layer's activation column for each recent
-    push.  :meth:`push` appends one sample, computes exactly one new column
-    per conv layer (reusing every other column from the buffers) and, once
-    enough samples have accumulated to cover the window, returns the head
-    outputs for the window ending at that sample -- bit-identical to
-    ``FastForwardPlan.forward`` on the same window (the module docstring
-    describes the per-layer update call shapes and the construction-time
-    BLAS probe backing that guarantee).  :meth:`push_many` advances whole
-    blocks of samples with the same bit guarantee while amortising the
-    per-push Python overhead, which is what makes single-stream replay
-    several times faster than re-running the batch plan per window.
+    ``plan`` is either numeric kernel -- a float :class:`FastForwardPlan` or
+    an int8 :class:`repro.nn.quant.QuantizedForwardPlan`
+    (``IncrementalQuantizedPlan`` is this same class under its old name).
+    One instance carries the state of a single stream: a sliding buffer per
+    layer holding that layer's activation column for each recent push.
+    :meth:`push` appends one sample, has the plan compute exactly one new
+    column per conv layer and, once the buffers cover a window, returns the
+    head outputs for the window ending at that sample -- bit-identical to
+    ``plan.forward`` on the same window (the module docstring has the kernel
+    surface, the float update call shapes and the BLAS probe behind that).
+    :meth:`push_many` advances whole blocks with the same bits while
+    amortising the per-push Python overhead.
 
-    Construction raises ``ValueError`` for backbones the scheme cannot
-    update causally -- any padded conv, or a strided conv that is not
+    >>> import numpy as np
+    >>> from repro import nn
+    >>> rng = np.random.default_rng(0)
+    >>> backbone = nn.Sequential(
+    ...     nn.Conv1d(2, 3, kernel_size=2, stride=2, rng=rng), nn.ReLU(),
+    ...     nn.Conv1d(3, 3, kernel_size=2, stride=2, rng=rng), nn.ReLU())
+    >>> heads = {"log_var": nn.Linear(3 * 2, 2, rng=rng)}
+    >>> stream = rng.normal(size=(12, 2))
+    >>> windows = np.stack([stream[t - 7:t + 1].T for t in range(7, 12)])
+    >>> plans = [nn.FastForwardPlan(backbone, heads, in_channels=2, in_length=8),
+    ...          nn.QuantizedForwardPlan.from_network(
+    ...              backbone, heads, in_channels=2, in_length=8, calibration=windows)]
+    >>> for plan in plans:
+    ...     rows = list(map(nn.IncrementalForwardPlan(plan).push, stream))
+    ...     pushed = np.concatenate([row["log_var"] for row in rows[7:]])
+    ...     rows[:7] == [None] * 7 and np.array_equal(
+    ...         pushed, plan.forward(windows)["log_var"])
+    True
+    True
+
+    Construction raises ``ValueError`` for backbones that cannot be updated
+    causally -- any padded conv, or a strided conv that is not
     right-anchored on the window (``(L_in - kernel) % stride != 0``) -- and
-    when the BLAS probe fails; use :meth:`supports` to test first.  Callers
-    fall back to the batch plan in that case.  A reset (or any gap in the
-    stream) requires :meth:`reset`, after which the plan warms up again
-    from scratch.
+    when the float kernel's BLAS probe fails; use :meth:`supports` to test
+    first and fall back to the batch plan.  Any gap in the stream requires
+    :meth:`reset`, after which the plan warms up again from scratch.  An
+    optimiser step or ``load_state_dict`` *replacing* a parameter array
+    restarts the warm-up by itself, so columns computed under old weights
+    never reach an output; weights mutated *in place* are read live but go
+    undetected -- call :meth:`reset` after that.
 
     ``heads`` optionally restricts which heads are evaluated per push (the
     serving hot path only needs ``log_var``); restricting heads does not
     change the bits of the ones kept.
     """
 
-    def __init__(self, plan: FastForwardPlan,
-                 heads: Optional[Sequence[str]] = None) -> None:
+    def __init__(self, plan, heads: Optional[Sequence[str]] = None) -> None:
         self._plan = plan
         self._in_channels = plan._in_channels
         self._in_length = plan._in_length
-        if heads is None:
-            head_names = list(plan._heads)
-        else:
-            unknown = [name for name in heads if name not in plan._heads]
-            if unknown:
-                raise ValueError(f"unknown heads {unknown!r}")
-            head_names = list(heads)
-        self._heads = {name: plan._heads[name] for name in head_names}
+        heads = list(plan._heads if heads is None else heads)
+        unknown = [name for name in heads if name not in plan._heads]
+        if unknown:
+            raise ValueError(f"unknown heads {unknown!r}")
+        self._heads = {name: plan._heads[name] for name in heads}
 
-        # -- layer walk: conv recipes + ReLU placement --------------------- #
-        self._leading_relu = False
-        convs: List[_IncrementalConv] = []
-        channels, length, d = self._in_channels, self._in_length, 1
-        for step, layer in plan._steps:
-            if step != "conv":
-                if convs:
-                    convs[-1].relu_after = True
-                else:
-                    self._leading_relu = True
-                continue
-            if layer.padding != 0:
+        # -- causal geometry: dilation and first computable push per conv -- #
+        self._geometry: List[Tuple[int, int, int]] = []   # (kernel, d_in, first_t)
+        length, d, first_t = self._in_length, 1, 0
+        for index, (conv, (_, out_length)) in enumerate(
+                zip(plan._convs, plan._shapes)):
+            if conv.padding != 0:
                 raise ValueError(
                     "incremental plan needs unpadded (causal) convolutions, "
-                    f"conv {len(convs)} has padding={layer.padding}"
+                    f"conv {index} has padding={conv.padding}"
                 )
-            if (length - layer.kernel_size) % layer.stride != 0:
+            if (length - conv.kernel_size) % conv.stride != 0:
                 raise ValueError(
-                    f"conv {len(convs)} is not right-anchored on the window: "
-                    f"(L_in={length} - kernel={layer.kernel_size}) is not a "
-                    f"multiple of stride={layer.stride}"
+                    f"conv {index} is not right-anchored on the window: "
+                    f"(L_in={length} - kernel={conv.kernel_size}) is not a "
+                    f"multiple of stride={conv.stride}"
                 )
-            out_channels, out_length = plan._shapes[len(convs)]
-            convs.append(_IncrementalConv(layer, channels, out_length, d))
-            channels, length, d = out_channels, out_length, convs[-1].d_out
-        self._convs = convs
-        self._final_channels = channels
-        self._final_length = length
-        self._final_d = d
-
-        # -- per-layer update modes (probed against the batch call) -------- #
-        cached = getattr(plan, "_incremental_modes", None)
-        modes: List[Tuple[str, int]] = []
-        first_t = 0
-        for index, conv in enumerate(convs):
-            if cached is not None:
-                conv.mode, conv.width = cached[index]
-            else:
-                conv.mode, conv.width = self._choose_mode(conv)
-            modes.append((conv.mode, conv.width))
             # A layer's newest column first becomes computable once its taps
             # reach back only onto columns the previous layer has produced.
-            first_t += (conv.kernel - 1) * conv.d_in
-            conv.first_t = first_t
-        plan._incremental_modes = tuple(modes)
+            first_t += (conv.kernel_size - 1) * d
+            self._geometry.append((conv.kernel_size, d, first_t))
+            length, d = out_length, d * conv.stride
+        self._final_length = length
+        self._final_d = d
         # Right-anchored layers satisfy L_in - 1 = (L_out - 1)s + k - 1, so
         # this telescopes to exactly in_length - 1: the first window fill.
-        self._warm_t = first_t + (self._final_length - 1) * self._final_d
+        self._warm_t = first_t + (length - 1) * d
+        self._widths, self._ops = plan._stream_ops()
 
         # -- sliding buffers and scratch ----------------------------------- #
         # Buffer i holds one activation column of layer i per push, written
         # left to right; when the slack runs out the newest `in_length`
         # columns (every tap reaches back at most in_length - 1 pushes) are
         # compacted to the front.
+        dtype = plan._act_dtype
         capacity = self._in_length + _BLOCK
         self._bufs: List[np.ndarray] = [
-            np.zeros((self._in_channels, capacity))]
-        self._pos: List[int] = [0]
+            np.zeros((self._in_channels, capacity), dtype=dtype)]
         self._gathers: List[np.ndarray] = []
         self._gather_views: List[np.ndarray] = []
         self._outs: List[np.ndarray] = []
-        for conv in convs:
-            self._bufs.append(np.zeros((conv.out_channels, capacity)))
-            self._pos.append(0)
-            gather = np.zeros((conv.depth, conv.width))
+        for conv, width in zip(plan._convs, self._widths):
+            self._bufs.append(np.zeros((conv.out_channels, capacity), dtype=dtype))
+            # Zero beyond column 0 for good: a push only ever writes column 0.
+            gather = np.zeros((conv.in_channels * conv.kernel_size, width),
+                              dtype=dtype)
             self._gathers.append(gather)
             self._gather_views.append(
-                gather.reshape(conv.in_channels, conv.kernel, conv.width))
-            self._outs.append(np.empty((conv.out_channels, conv.width)))
-        self._final_buf = np.empty((self._final_channels, self._final_length))
-        self._head_bufs = {name: np.empty((1, head.out_features))
-                           for name, head in self._heads.items()}
-        self._t = 0
-
-    @staticmethod
-    def _choose_mode(conv: "_IncrementalConv") -> Tuple[str, int]:
-        candidates: List[Tuple[str, int]] = []
-        if conv.out_length % _GEMM_CHUNK == 0:
-            candidates.append(("pad8", _GEMM_CHUNK))
-        candidates.append(("padL", conv.out_length))
-        for mode, width in candidates:
-            if _probe_update_scheme(conv.w2d, conv.depth, conv.out_length,
-                                    width):
-                return mode, width
-        raise ValueError(
-            "incremental plan disabled: this BLAS build reproduces none of "
-            "the padded update call shapes bit for bit"
-        )
+                gather.reshape(conv.in_channels, conv.kernel_size, width))
+            self._outs.append(np.empty((conv.out_channels, width), dtype=dtype))
+        self.reset()
 
     @classmethod
-    def supports(cls, plan: FastForwardPlan) -> bool:
-        """Whether ``plan``'s shapes (and the BLAS build) allow incremental
-        updates; ``False`` means callers must stay on the batch plan."""
+    def supports(cls, plan) -> bool:
+        """Whether ``plan``'s shapes (and, for float, the BLAS build) allow
+        incremental updates; ``False``: callers stay on the batch plan."""
         try:
             cls(plan)
         except (TypeError, ValueError):
@@ -521,7 +592,7 @@ class IncrementalForwardPlan:
     # ------------------------------------------------------------------ #
     @property
     def samples_seen(self) -> int:
-        """Pushes since construction or the last :meth:`reset`."""
+        """Pushes since construction or the last restart of the warm-up."""
         return self._t
 
     @property
@@ -532,7 +603,13 @@ class IncrementalForwardPlan:
     def reset(self) -> None:
         """Forget all stream state (call on any gap in the sample stream)."""
         self._t = 0
-        self._pos = [0] * len(self._pos)
+        self._pos = [0] * len(self._bufs)
+
+    def _sync(self) -> None:
+        """Re-bind the operands and restart the warm-up if they went stale."""
+        if self._plan._stream_stale(self._ops):
+            self._widths, self._ops = self._plan._stream_ops()
+            self.reset()
 
     def _room(self, index: int, n: int) -> int:
         """Write position for ``n`` new columns in layer ``index``'s buffer,
@@ -550,10 +627,10 @@ class IncrementalForwardPlan:
     def push(self, sample: np.ndarray) -> Optional[Dict[str, np.ndarray]]:
         """Advance the stream by one sample of shape ``(in_channels,)``.
 
-        Returns the head outputs (mapping name -> ``(1, out_features)``
-        buffer, overwritten by the next push) for the window ending at this
-        sample, or ``None`` while warming up.  The outputs are bit-identical
-        to ``FastForwardPlan.forward`` on the same window.
+        Returns the head outputs (mapping name -> fresh ``(1, out_features)``
+        array, the caller's to keep) for the window ending at this sample,
+        or ``None`` while warming up.  The outputs are bit-identical to
+        ``plan.forward`` on the same window.
         """
         sample = np.asarray(sample, dtype=np.float64).ravel()
         if sample.shape[0] != self._in_channels:
@@ -561,53 +638,31 @@ class IncrementalForwardPlan:
                 f"expected a sample of {self._in_channels} channels, "
                 f"got {sample.shape[0]}"
             )
+        self._sync()
+        plan, ops, bufs, positions = self._plan, self._ops, self._bufs, self._pos
         t = self._t
         self._t = t + 1
         pos = self._room(0, 1)
-        column = self._bufs[0][:, pos]
-        if self._leading_relu:
-            np.maximum(sample, 0.0, out=column)
-        else:
-            column[:] = sample
-        self._pos[0] = pos + 1
-        for index, conv in enumerate(self._convs):
-            if t < conv.first_t:
+        plan._stage(sample, bufs[0][:, pos])
+        positions[0] = pos + 1
+        for index, (kernel, d_in, first_t) in enumerate(self._geometry):
+            if t < first_t:
                 break       # deeper layers start strictly later
-            previous = self._bufs[index]
-            newest = self._pos[index] - 1        # column of push t
-            gather = self._gather_views[index]
-            kernel, d_in = conv.kernel, conv.d_in
-            for tap in range(kernel):
-                gather[:, tap, 0] = previous[
-                    :, newest - (kernel - 1 - tap) * d_in]
-            out = self._outs[index]
-            np.matmul(conv.w2d, self._gathers[index], out=out)
-            if conv.bias_col is not None:
-                out += conv.bias_col
-            if conv.relu_after:
-                np.maximum(out, 0.0, out=out)
+            newest = positions[index] - 1        # column of push t
+            self._gather_views[index][:, :, 0] = bufs[index][
+                :, newest - (kernel - 1) * d_in:newest + 1:d_in]
+            out = plan._conv_columns(ops[index], self._gathers[index],
+                                     self._outs[index])
             pos = self._room(index + 1, 1)
-            self._bufs[index + 1][:, pos] = out[:, 0]
-            self._pos[index + 1] = pos + 1
+            bufs[index + 1][:, pos] = out[:, 0]
+            positions[index + 1] = pos + 1
         if t < self._warm_t:
             return None
-        final = self._final_buf
-        buf = self._bufs[-1]
-        newest = self._pos[-1] - 1
-        length, d = self._final_length, self._final_d
-        for j in range(length):
-            final[:, j] = buf[:, newest - (length - 1 - j) * d]
-        flat = final.reshape(1, -1)
-        results: Dict[str, np.ndarray] = {}
-        for name, head in self._heads.items():
-            out = self._head_bufs[name]
-            # same einsum as the batch plan: its reduction order is
-            # batch-size independent, so n=1 here matches any batch there.
-            np.einsum("nf,of->no", flat, head.weight.data, out=out)
-            if head.bias is not None:
-                out += head.bias.data
-            results[name] = out
-        return results
+        newest = positions[-1] - 1
+        d = self._final_d
+        final = np.ascontiguousarray(bufs[-1][
+            :, newest - (self._final_length - 1) * d:newest + 1:d])
+        return plan._head_rows(final.reshape(1, -1), self._heads)
 
     # ------------------------------------------------------------------ #
     def push_many(self, samples: np.ndarray) -> Dict[str, np.ndarray]:
@@ -627,15 +682,18 @@ class IncrementalForwardPlan:
                 f"got {samples.shape}"
             )
         total = samples.shape[0]
-        outs = {name: np.full((total, head.out_features), np.nan)
+        outs = {name: np.full((total, head.out_features), np.nan,
+                              dtype=self._plan._act_dtype)
                 for name, head in self._heads.items()}
         i = 0
-        # Warm-up pushes produce no outputs; run them one by one so the
-        # chunked path below never has to gate layers on first_t.
-        while i < total and self._t < self._warm_t:
-            self.push(samples[i])
-            i += 1
         while i < total:
+            self._sync()
+            if self._t < self._warm_t:
+                # Warm-up pushes produce no outputs; run them one by one so
+                # the block body never has to gate layers on first_t.
+                self.push(samples[i])
+                i += 1
+                continue
             block = samples[i:i + _BLOCK]
             for name, arr in self._advance_block(block).items():
                 outs[name][i:i + block.shape[0]] = arr
@@ -645,54 +703,33 @@ class IncrementalForwardPlan:
     def _advance_block(self, block: np.ndarray) -> Dict[str, np.ndarray]:
         """Advance every layer by one block of pushes (requires ``t`` past
         every layer's ``first_t``, i.e. the plan is warm)."""
+        plan, bufs, positions = self._plan, self._bufs, self._pos
+        dtype = plan._act_dtype
         count = block.shape[0]
         self._t += count
         pos = self._room(0, count)
-        target = self._bufs[0][:, pos:pos + count]
-        np.copyto(target, block.T)
-        if self._leading_relu:
-            np.maximum(target, 0.0, out=target)
-        self._pos[0] = pos + count
-        for index, conv in enumerate(self._convs):
-            previous = self._bufs[index]
-            base = self._pos[index] - count      # column of the block start
-            kernel, d_in = conv.kernel, conv.d_in
-            group = _GEMM_CHUNK if conv.mode == "pad8" else conv.width
-            padded = -(-count // group) * group
-            gather = np.zeros((conv.depth, padded))
-            g3 = gather.reshape(conv.in_channels, kernel, padded)
+        plan._stage(block.T, bufs[0][:, pos:pos + count])
+        positions[0] = pos + count
+        for index, (kernel, d_in, _) in enumerate(self._geometry):
+            previous = bufs[index]
+            base = positions[index] - count      # column of the block start
+            width = self._widths[index]
+            padded = -(-count // width) * width
+            gather = (np.zeros if padded > count else np.empty)(
+                (previous.shape[0] * kernel, padded), dtype=dtype)
+            g3 = gather.reshape(previous.shape[0], kernel, padded)
             for tap in range(kernel):
                 start = base - (kernel - 1 - tap) * d_in
                 g3[:, tap, :count] = previous[:, start:start + count]
-            if conv.mode == "pad8":
-                # one call at a multiple-of-8 width: every column sits in a
-                # full width-8 chunk, the probed batch width class
-                out = conv.w2d @ gather
-            else:
-                # padL: groups at exactly the batch call width
-                out = np.empty((conv.out_channels, padded))
-                for g in range(0, padded, group):
-                    out[:, g:g + group] = conv.w2d @ np.ascontiguousarray(
-                        gather[:, g:g + group])
-            if conv.bias_col is not None:
-                out += conv.bias_col
-            if conv.relu_after:
-                np.maximum(out, 0.0, out=out)
+            out = plan._conv_columns(self._ops[index], gather)
             pos = self._room(index + 1, count)
-            self._bufs[index + 1][:, pos:pos + count] = out[:, :count]
-            self._pos[index + 1] = pos + count
-        buf = self._bufs[-1]
-        base = self._pos[-1] - count
+            bufs[index + 1][:, pos:pos + count] = out[:, :count]
+            positions[index + 1] = pos + count
+        buf = bufs[-1]
+        base = positions[-1] - count
         length, d = self._final_length, self._final_d
-        flat = np.empty((count, self._final_channels, length))
+        flat = np.empty((count, buf.shape[0], length), dtype=dtype)
         for j in range(length):
             start = base - (length - 1 - j) * d
             flat[:, :, j] = buf[:, start:start + count].T
-        flat2 = np.ascontiguousarray(flat.reshape(count, -1))
-        results: Dict[str, np.ndarray] = {}
-        for name, head in self._heads.items():
-            out = np.einsum("nf,of->no", flat2, head.weight.data)
-            if head.bias is not None:
-                out += head.bias.data
-            results[name] = out
-        return results
+        return plan._head_rows(flat.reshape(count, -1), self._heads)

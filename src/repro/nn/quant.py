@@ -17,10 +17,23 @@ This module provides that step for the :mod:`repro.nn` stack:
 * :class:`QuantizedConv1d` / :class:`QuantizedLinear` -- inference-only
   parameter containers: int8 codes, per-channel weight scales, a per-tensor
   activation scale calibrated from representative data, and the float bias.
-* :class:`QuantizedForwardPlan` -- the int8 mirror of
-  :class:`repro.nn.fastpath.FastForwardPlan`: a preallocated-buffer forward
-  pass over a ``Conv1d``/``ReLU`` backbone plus linear heads in which every
-  convolution and head is an int8 x int8 matmul with float accumulators.
+* :class:`QuantizedForwardPlan` -- the int8 numeric kernel: a
+  preallocated-buffer forward pass over a ``Conv1d``/``ReLU`` backbone plus
+  linear heads in which every convolution and head is an int8 x int8 matmul
+  with float accumulators.
+
+Two kernels, one driver
+-----------------------
+
+This plan and the float :class:`repro.nn.fastpath.FastForwardPlan` are the
+repo's two numeric kernels; streaming is one driver over both,
+:class:`repro.nn.fastpath.IncrementalForwardPlan` (its module lists the
+kernel surface), importable here as ``IncrementalQuantizedPlan``.  The int8
+stage, fused requantise and head arithmetic each have one definition
+(``_stage`` / ``_conv_columns`` / ``_head_rows``), called by both ``forward``
+and the driver.  No BLAS width-class probe is needed: every reduction depth
+keeps the integer accumulator below ``2**24`` (asserted at construction), so
+the staged GEMMs are *exact* at any call width.
 
 Execution model
 ---------------
@@ -53,7 +66,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .fastpath import fast_conv1d
+from .fastpath import (IncrementalForwardPlan, _conv_chain_shapes, _lru_buffers,
+                       _relu_placement, fast_conv1d)
 from .layers import Conv1d, Linear, ReLU, Sequential
 
 __all__ = [
@@ -75,9 +89,8 @@ QMAX = 127
 #: must stay below this for the float-carried integer arithmetic to be exact.
 _EXACT_ACCUMULATOR_LIMIT = float(2 ** 24)
 
-#: how many distinct batch sizes a plan keeps buffers for (mirrors
-#: repro.nn.fastpath._MAX_CACHED_BATCH_SIZES).
-_MAX_CACHED_BATCH_SIZES = 8
+#: the streaming driver serves both kernels; this is its int8-era name.
+IncrementalQuantizedPlan = IncrementalForwardPlan
 
 #: smallest usable quantization scale: the float32 minimum normal, so every
 #: scale's reciprocal (and every ratio of scales) is representable in float32.
@@ -149,6 +162,26 @@ def dequantize(codes: np.ndarray, scale, channel_axis: Optional[int] = None) -> 
     return codes * scale
 
 
+def _checked_scales(weight_scale, outputs: int, act_scale) -> Tuple[np.ndarray, float]:
+    """One weight scale per output plus the activation scale, both validated:
+    finite and no smaller than the float32 minimum normal."""
+    weight_scale = np.asarray(weight_scale, dtype=np.float64).reshape(-1)
+    if weight_scale.shape[0] != outputs:
+        raise ValueError("one weight scale per output channel or feature is required")
+    if not np.all(np.isfinite(weight_scale)) or np.any(weight_scale < _MIN_SCALE):
+        raise ValueError(
+            "weight scales must be finite and at least the float32 minimum "
+            "normal (their reciprocals must be representable)"
+        )
+    act_scale = float(act_scale)
+    if not np.isfinite(act_scale) or act_scale < _MIN_SCALE:
+        raise ValueError(
+            "activation scale must be finite and at least the float32 "
+            "minimum normal"
+        )
+    return weight_scale, act_scale
+
+
 class QuantizedConv1d:
     """Inference-only int8 convolution parameters (codes + scales + bias)."""
 
@@ -161,24 +194,11 @@ class QuantizedConv1d:
         if padding != 0:
             raise ValueError("QuantizedForwardPlan backbones use padding 0")
         self.weight_q = weight_q
-        self.weight_scale = np.asarray(weight_scale, dtype=np.float64).reshape(-1)
-        if self.weight_scale.shape[0] != weight_q.shape[0]:
-            raise ValueError("one weight scale per output channel is required")
-        if not np.all(np.isfinite(self.weight_scale)) \
-                or np.any(self.weight_scale < _MIN_SCALE):
-            raise ValueError(
-                "weight scales must be finite and at least the float32 minimum "
-                "normal (their reciprocals must be representable)"
-            )
+        self.weight_scale, self.act_scale = _checked_scales(
+            weight_scale, weight_q.shape[0], act_scale)
         self.bias = None if bias is None else np.asarray(bias, dtype=np.float64)
         self.stride = int(stride)
         self.padding = int(padding)
-        self.act_scale = float(act_scale)
-        if not np.isfinite(self.act_scale) or self.act_scale < _MIN_SCALE:
-            raise ValueError(
-                "activation scale must be finite and at least the float32 "
-                "minimum normal"
-            )
         self.out_channels, self.in_channels, self.kernel_size = weight_q.shape
         # Float32 staging copy of the integer codes for the GEMM.  (The
         # accumulator's dequantization factors live in the plan's fused
@@ -206,26 +226,14 @@ class QuantizedLinear:
         if weight_q.ndim != 2:
             raise ValueError("QuantizedLinear weight codes must be (O, I)")
         self.weight_q = weight_q
-        self.weight_scale = np.asarray(weight_scale, dtype=np.float64).reshape(-1)
-        if self.weight_scale.shape[0] != weight_q.shape[0]:
-            raise ValueError("one weight scale per output feature is required")
-        if not np.all(np.isfinite(self.weight_scale)) \
-                or np.any(self.weight_scale < _MIN_SCALE):
-            raise ValueError(
-                "weight scales must be finite and at least the float32 minimum "
-                "normal (their reciprocals must be representable)"
-            )
+        self.weight_scale, self.act_scale = _checked_scales(
+            weight_scale, weight_q.shape[0], act_scale)
         self.bias = None if bias is None else np.asarray(bias, dtype=np.float64)
-        self.act_scale = float(act_scale)
-        if not np.isfinite(self.act_scale) or self.act_scale < _MIN_SCALE:
-            raise ValueError(
-                "activation scale must be finite and at least the float32 "
-                "minimum normal"
-            )
         self.out_features, self.in_features = weight_q.shape
         # (I, O) float32 staging copy so the head GEMM is (N, I) @ (I, O).
         self._weight_f32_t = np.ascontiguousarray(weight_q.T.astype(np.float32))
         self._dequant = (self.act_scale * self.weight_scale).astype(np.float32)
+        self._bias_f32 = None if bias is None else self.bias.astype(np.float32)
 
     @classmethod
     def from_layer(cls, layer: Linear, act_scale: float) -> "QuantizedLinear":
@@ -234,41 +242,8 @@ class QuantizedLinear:
         return cls(codes, scales, bias, act_scale)
 
 
-def _collect_calibration_ranges(backbone: Sequential, in_channels: int, in_length: int,
-                                calibration: np.ndarray) -> Tuple[List[float], float]:
-    """Max-abs of the float input to every conv and to the head block.
-
-    Runs the float backbone over the calibration batch layer by layer and
-    records the dynamic range each quantized operand must cover.
-    """
-    x = np.ascontiguousarray(np.asarray(calibration, dtype=np.float64))
-    if x.ndim != 3 or x.shape[1] != in_channels or x.shape[2] != in_length:
-        raise ValueError(
-            f"calibration inputs must have shape (n, {in_channels}, {in_length}), "
-            f"got {x.shape}"
-        )
-    if x.shape[0] == 0:
-        raise ValueError("calibration requires at least one input window")
-    conv_ranges: List[float] = []
-    current = x
-    for layer in backbone:
-        if isinstance(layer, Conv1d):
-            conv_ranges.append(float(np.abs(current).max()))
-            current = fast_conv1d(current, layer.weight.data,
-                                  None if layer.bias is None else layer.bias.data,
-                                  stride=layer.stride, padding=layer.padding)
-        elif isinstance(layer, ReLU):
-            current = np.maximum(current, 0.0)
-        else:
-            raise TypeError(
-                f"quantization supports Conv1d/ReLU backbones, got {type(layer).__name__}"
-            )
-    head_range = float(np.abs(current).max())
-    return conv_ranges, head_range
-
-
 class QuantizedForwardPlan:
-    """Int8 mirror of :class:`repro.nn.fastpath.FastForwardPlan`.
+    """Int8 numeric kernel, the twin of :class:`repro.nn.fastpath.FastForwardPlan`.
 
     The plan executes a ``Conv1d``/``ReLU`` backbone plus linear heads with
     per-output-channel int8 weights and per-tensor int8 activations.
@@ -291,6 +266,9 @@ class QuantizedForwardPlan:
        they keep.
     """
 
+    #: dtype of the activation columns a streaming driver buffers
+    _act_dtype = np.float32
+
     def __init__(self, conv_layers: List[QuantizedConv1d],
                  heads: Mapping[str, QuantizedLinear],
                  in_channels: int, in_length: int,
@@ -298,45 +276,22 @@ class QuantizedForwardPlan:
         if not heads:
             raise ValueError("QuantizedForwardPlan needs at least one head")
         if steps is None:
-            steps = []
-            for _ in conv_layers:
-                steps.extend(["conv", "relu"])
+            steps = ["conv", "relu"] * len(conv_layers)
         if [step for step in steps if step == "conv"] != ["conv"] * len(conv_layers):
             raise ValueError("steps must reference each conv layer exactly once, in order")
         if any(step not in ("conv", "relu") for step in steps):
             raise ValueError("steps may only contain 'conv' and 'relu'")
         self._steps = list(steps)
         self._convs = list(conv_layers)
-        self._shapes: List[Tuple[int, int]] = []
-        channels, length = in_channels, in_length
-        for conv in self._convs:
-            if conv.in_channels != channels:
-                raise ValueError(
-                    f"backbone expects {conv.in_channels} channels, carrying {channels}"
-                )
-            length = conv.output_length(length)
-            if length <= 0:
-                raise ValueError("backbone reduces the sequence to zero length")
-            channels = conv.out_channels
-            self._shapes.append((channels, length))
-            depth = conv.in_channels * conv.kernel_size
+        #: (channels, length) after each conv
+        self._shapes = _conv_chain_shapes(self._convs, heads, in_channels, in_length)
+        depths = [("conv", conv.in_channels * conv.kernel_size) for conv in self._convs]
+        depths += [(f"head {name!r}", head.in_features) for name, head in heads.items()]
+        for what, depth in depths:
             if depth * QMAX * QMAX >= _EXACT_ACCUMULATOR_LIMIT:
                 raise ValueError(
-                    f"conv reduction depth {depth} overflows the exact float32 "
-                    "integer accumulator (2**24); reduce the layer width"
-                )
-        self._flat_features = channels * length
-        self._final_shape = (channels, length)
-        for name, head in heads.items():
-            if head.in_features != self._flat_features:
-                raise ValueError(
-                    f"head {name!r} expects {head.in_features} features, backbone "
-                    f"produces {self._flat_features}"
-                )
-            if head.in_features * QMAX * QMAX >= _EXACT_ACCUMULATOR_LIMIT:
-                raise ValueError(
-                    f"head reduction depth {head.in_features} overflows the exact "
-                    "float32 integer accumulator (2**24)"
+                    f"{what} reduction depth {depth} overflows the exact "
+                    "float32 integer accumulator (2**24); reduce the layer width"
                 )
         head_scales = {head.act_scale for head in heads.values()}
         if len(head_scales) != 1:
@@ -368,41 +323,26 @@ class QuantizedForwardPlan:
         int8 runtimes use, and it is what keeps the elementwise traffic of
         the int8 path below the float path's.
         """
-        head_scale = next(iter(self._heads.values())).act_scale
-        # Consumer scale of conv i: the act_scale of conv i+1, or the heads'
-        # shared scale for the last conv.
-        consumer_scales = [conv.act_scale for conv in self._convs[1:]] + [head_scale]
-        # Does a ReLU sit between conv i's output and its consumer?
-        conv_positions = [idx for idx, step in enumerate(self._steps) if step == "conv"]
-        relu_before_consumer: List[bool] = []
-        for order, position in enumerate(conv_positions):
-            end = conv_positions[order + 1] if order + 1 < len(conv_positions) \
-                else len(self._steps)
-            relu_before_consumer.append("relu" in self._steps[position + 1:end])
+        # Operand scale of every stage; the consumer scale of conv i is the
+        # act_scale of conv i+1, or the heads' shared scale for the last conv.
+        scales = [conv.act_scale for conv in self._convs] \
+            + [next(iter(self._heads.values())).act_scale]
         # A ReLU ahead of the first conv applies to the float input itself.
-        first_conv = conv_positions[0] if conv_positions else len(self._steps)
-        self._leading_relu = "relu" in self._steps[:first_conv]
+        self._leading_relu, relu_before_consumer = _relu_placement(self._steps)
 
-        self._requant_mult: List[np.ndarray] = []
-        self._requant_bias: List[Optional[np.ndarray]] = []
-        self._requant_low: List[float] = []
-        for conv, scale, has_relu in zip(self._convs, consumer_scales,
+        #: per conv, the operands of :meth:`_conv_columns`: staged weight
+        #: codes, requantization multiplier and bias columns, clip lower bound
+        self._ops: List[tuple] = []
+        for conv, scale, has_relu in zip(self._convs, scales[1:],
                                          relu_before_consumer):
             mult = (conv.act_scale * conv.weight_scale / scale).astype(np.float32)
-            self._requant_mult.append(mult[:, None, None])
-            if conv.bias is None:
-                self._requant_bias.append(None)
-            else:
-                bias = (conv.bias / scale).astype(np.float32)
-                self._requant_bias.append(bias[:, None, None])
-            self._requant_low.append(0.0 if has_relu else float(-QMAX))
-        # Head dequantization constants (float32, cached once).
-        self._head_bias_f32 = {
-            name: None if head.bias is None else head.bias.astype(np.float32)
-            for name, head in self._heads.items()
-        }
-        self._input_inv_scale = np.float32(1.0 / self._convs[0].act_scale) \
-            if self._convs else None
+            bias = None if conv.bias is None \
+                else (conv.bias / scale).astype(np.float32)[:, None]
+            self._ops.append((conv._weight_f32, mult[:, None], bias,
+                              0.0 if has_relu else float(-QMAX)))
+        # The raw input is quantized for its first consumer: conv 0, or the
+        # heads themselves under a conv-less backbone.
+        self._input_inv_scale = np.float32(1.0 / scales[0])
 
     # ------------------------------------------------------------------ #
     # Construction from a float network
@@ -426,22 +366,39 @@ class QuantizedForwardPlan:
         """
         if not np.isfinite(headroom) or headroom < 1.0:
             raise ValueError("headroom must be a finite factor >= 1")
-        conv_ranges, head_range = _collect_calibration_ranges(
-            backbone, in_channels, in_length, calibration
-        )
+        current = np.ascontiguousarray(np.asarray(calibration, dtype=np.float64))
+        if current.ndim != 3 or current.shape[1] != in_channels \
+                or current.shape[2] != in_length:
+            raise ValueError(
+                f"calibration inputs must have shape (n, {in_channels}, {in_length}), "
+                f"got {current.shape}"
+            )
+        if current.shape[0] == 0:
+            raise ValueError("calibration requires at least one input window")
+
+        def scale_of(operand: np.ndarray) -> float:
+            """The dynamic range a quantized operand must cover, as a scale."""
+            return float(_safe_scale(headroom * float(np.abs(operand).max())))
+
+        # Run the float backbone over the calibration batch layer by layer,
+        # quantizing each conv against the range of the input it sees.
         steps: List[str] = []
         conv_layers: List[QuantizedConv1d] = []
-        conv_index = 0
         for layer in backbone:
             if isinstance(layer, Conv1d):
-                act_scale = float(_safe_scale(headroom * conv_ranges[conv_index]))
-                conv_layers.append(QuantizedConv1d.from_layer(layer, act_scale))
+                conv_layers.append(QuantizedConv1d.from_layer(layer, scale_of(current)))
                 steps.append("conv")
-                conv_index += 1
-            else:  # ReLU (anything else was rejected during calibration)
+                current = fast_conv1d(current, layer.weight.data,
+                                      None if layer.bias is None else layer.bias.data,
+                                      stride=layer.stride, padding=layer.padding)
+            elif isinstance(layer, ReLU):
                 steps.append("relu")
-        head_scale = float(_safe_scale(headroom * head_range))
-        quantized_heads = {name: QuantizedLinear.from_layer(head, head_scale)
+                current = np.maximum(current, 0.0)
+            else:
+                raise TypeError(
+                    f"quantization supports Conv1d/ReLU backbones, got {type(layer).__name__}"
+                )
+        quantized_heads = {name: QuantizedLinear.from_layer(head, scale_of(current))
                            for name, head in heads.items()}
         return cls(conv_layers, quantized_heads, in_channels, in_length, steps=steps)
 
@@ -471,24 +428,16 @@ class QuantizedForwardPlan:
     def parameter_bytes(self) -> int:
         """Bytes of stored model state: int8 codes + float32 scales/biases."""
         total = 0
-        for conv in self._convs:
-            total += conv.weight_q.size                  # int8 codes
-            total += conv.weight_scale.size * 4          # scales as float32
-            total += 0 if conv.bias is None else conv.bias.size * 4
-        for head in self._heads.values():
-            total += head.weight_q.size
-            total += head.weight_scale.size * 4
-            total += 0 if head.bias is None else head.bias.size * 4
+        for layer in [*self._convs, *self._heads.values()]:
+            total += layer.weight_q.size                 # int8 codes
+            total += layer.weight_scale.size * 4         # scales as float32
+            total += 0 if layer.bias is None else layer.bias.size * 4
         return total
 
     # ------------------------------------------------------------------ #
-    # Buffer management
+    # Batch execution
     # ------------------------------------------------------------------ #
-    def _get_buffers(self, batch: int) -> dict:
-        cached = self._buffers.get(batch)
-        if cached is not None:
-            self._buffers.move_to_end(batch)
-            return cached
+    def _allocate(self, batch: int) -> dict:
         acts = [np.empty((self._in_channels, batch, self._in_length), dtype=np.float32)]
         cols: List[np.ndarray] = []
         for conv, (out_channels, out_length) in zip(self._convs, self._shapes):
@@ -497,18 +446,12 @@ class QuantizedForwardPlan:
                 dtype=np.float32,
             ))
             acts.append(np.empty((out_channels, batch, out_length), dtype=np.float32))
-        flat = np.empty((batch, self._flat_features), dtype=np.float32)
+        channels, _, length = acts[-1].shape
+        flat = np.empty((batch, channels, length), dtype=np.float32)
         heads = {name: np.empty((batch, head.out_features), dtype=np.float32)
                  for name, head in self._heads.items()}
-        buffers = {"acts": acts, "cols": cols, "flat": flat, "heads": heads}
-        self._buffers[batch] = buffers
-        while len(self._buffers) > _MAX_CACHED_BATCH_SIZES:
-            self._buffers.popitem(last=False)
-        return buffers
+        return {"acts": acts, "cols": cols, "flat": flat, "heads": heads}
 
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
     @staticmethod
     def _im2col(act: np.ndarray, kernel: int, stride: int, out_length: int,
                 cols: np.ndarray) -> np.ndarray:
@@ -550,298 +493,71 @@ class QuantizedForwardPlan:
                 f"for layout {layout!r}, got {x.shape}"
             )
         batch = x.shape[0]
-        buffers = self._get_buffers(batch)
+        buffers = _lru_buffers(self._buffers, batch, self._allocate)
         acts = buffers["acts"]
-        # Stage the input in (C, N, L) layout so every conv is one large GEMM,
-        # folding the first quantization divide into the staging copy.
-        if self._convs:
-            np.multiply(x.transpose(stage_axes), self._input_inv_scale, out=acts[0])
-        else:
-            head_scale = next(iter(self._heads.values())).act_scale
-            np.multiply(x.transpose(stage_axes), np.float32(1.0 / head_scale),
-                        out=acts[0])
-        if self._leading_relu:
-            np.maximum(acts[0], 0.0, out=acts[0])
-        np.rint(acts[0], out=acts[0])
-        np.clip(acts[0], -QMAX, QMAX, out=acts[0])
-
-        current = acts[0]
+        # Stage the input in (C, N, L) layout so every conv is one large GEMM.
+        self._stage(x.transpose(stage_axes), acts[0])
         for conv_index, conv in enumerate(self._convs):
             out_channels, out_length = self._shapes[conv_index]
-            cols = self._im2col(current, conv.kernel_size, conv.stride,
+            cols = self._im2col(acts[conv_index], conv.kernel_size, conv.stride,
                                 out_length, buffers["cols"][conv_index])
-            out = acts[conv_index + 1]
-            # Integer matmul carried exactly in a float32 accumulator.
-            np.matmul(conv._weight_f32, cols,
-                      out=out.reshape(out_channels, batch * out_length))
-            # Fused requantization straight to the consumer's codes (ReLU, if
-            # present, is folded into the clip's lower bound of 0).
-            out *= self._requant_mult[conv_index]
-            if self._requant_bias[conv_index] is not None:
-                out += self._requant_bias[conv_index]
-            np.rint(out, out=out)
-            np.clip(out, self._requant_low[conv_index], QMAX, out=out)
-            current = out
-
-        # `current` already holds int8 codes under the heads' shared scale.
+            # The (O, N, L) output buffer is contiguous: the layer runs on its
+            # 2-D (O, N*L) view, the same routine a streaming push calls.
+            self._conv_columns(
+                self._ops[conv_index], cols,
+                acts[conv_index + 1].reshape(out_channels, batch * out_length))
+        # The last activation already holds int8 codes under the heads' scale.
         flat = buffers["flat"]
-        np.copyto(
-            flat.reshape(batch, self._final_shape[0], self._final_shape[1]),
-            current.transpose(1, 0, 2),
-        )
-        results: Dict[str, np.ndarray] = {}
-        for name, head in self._heads.items():
-            out = buffers["heads"][name]
-            np.matmul(flat, head._weight_f32_t, out=out)
-            out *= head._dequant
-            if self._head_bias_f32[name] is not None:
-                out += self._head_bias_f32[name]
-            results[name] = out
-        return results
-
-
-class IncrementalQuantizedPlan:
-    """Int8 twin of :class:`repro.nn.fastpath.IncrementalForwardPlan`.
-
-    Carries per-stream int8 state so that one new sample (or a chunk of
-    samples, via :meth:`push_many`) advances every layer by computing only
-    the new activation columns, bit-identical to
-    :meth:`QuantizedForwardPlan.forward` on the same windows.
-
-    Unlike the float plan this needs no BLAS width-class probe: the plan
-    construction already guarantees every reduction depth keeps the integer
-    accumulator below ``2**24`` (see the module docstring), so the staged
-    int8 GEMMs are *exact* under any call shape -- the update calls use
-    plain single-column (or single-block) widths.  The elementwise
-    quantize/requantize passes replicate the batch plan's ufunc sequence
-    operand for operand, which keeps them bit-identical too.
-
-    Construction raises ``ValueError`` when a conv is not right-anchored on
-    the window (``(L_in - kernel) % stride != 0``); use :meth:`supports` to
-    test first and fall back to the batch plan.  Call :meth:`reset` on any
-    gap in the stream.
-    """
-
-    def __init__(self, plan: QuantizedForwardPlan,
-                 heads: Optional[List[str]] = None) -> None:
-        self._plan = plan
-        self._in_channels = plan._in_channels
-        self._in_length = plan._in_length
-        if heads is None:
-            head_names = list(plan._heads)
-        else:
-            unknown = [name for name in heads if name not in plan._heads]
-            if unknown:
-                raise ValueError(f"unknown heads {unknown!r}")
-            head_names = list(heads)
-        self._heads = {name: plan._heads[name] for name in head_names}
-        if not plan._convs:
-            raise ValueError(
-                "incremental quantized plans need a conv backbone")
-        length, d = self._in_length, 1
-        self._d_in: List[int] = []
-        first_t = 0
-        self._first_t: List[int] = []
-        for conv in plan._convs:
-            if (length - conv.kernel_size) % conv.stride != 0:
-                raise ValueError(
-                    "conv is not right-anchored on the window: "
-                    f"(L_in={length} - kernel={conv.kernel_size}) is not a "
-                    f"multiple of stride={conv.stride}"
-                )
-            self._d_in.append(d)
-            first_t += (conv.kernel_size - 1) * d
-            self._first_t.append(first_t)
-            length = conv.output_length(length)
-            d *= conv.stride
-        self._final_channels, self._final_length = plan._final_shape
-        self._final_d = d
-        self._warm_t = first_t + (self._final_length - 1) * d
-
-        from .fastpath import _BLOCK
-        self._block = _BLOCK
-        capacity = self._in_length + self._block
-        self._bufs: List[np.ndarray] = [
-            np.zeros((self._in_channels, capacity), dtype=np.float32)]
-        self._pos: List[int] = [0]
-        for conv in plan._convs:
-            self._bufs.append(
-                np.zeros((conv.out_channels, capacity), dtype=np.float32))
-            self._pos.append(0)
-        self._gathers = [
-            np.empty((conv.in_channels * conv.kernel_size, 1),
-                     dtype=np.float32)
-            for conv in plan._convs
-        ]
-        self._final_buf = np.empty(
-            (1, self._final_channels * self._final_length), dtype=np.float32)
-        self._t = 0
-
-    @classmethod
-    def supports(cls, plan: QuantizedForwardPlan) -> bool:
-        """Whether ``plan``'s shapes allow incremental updates; ``False``
-        means callers must stay on the batch plan."""
-        try:
-            cls(plan)
-        except (TypeError, ValueError):
-            return False
-        return True
+        np.copyto(flat, acts[-1].transpose(1, 0, 2))
+        return self._head_rows(flat.reshape(batch, -1), self._heads,
+                               buffers["heads"])
 
     # ------------------------------------------------------------------ #
-    @property
-    def samples_seen(self) -> int:
-        """Pushes since construction or the last :meth:`reset`."""
-        return self._t
-
-    @property
-    def warm(self) -> bool:
-        """Whether the buffers cover a full window (push returns outputs)."""
-        return self._t > self._warm_t
-
-    def reset(self) -> None:
-        """Forget all stream state (call on any gap in the sample stream)."""
-        self._t = 0
-        self._pos = [0] * len(self._pos)
-
-    def _room(self, index: int, n: int) -> int:
-        buf = self._bufs[index]
-        pos = self._pos[index]
-        if pos + n <= buf.shape[1]:
-            return pos
-        keep = min(pos, self._in_length)
-        buf[:, :keep] = buf[:, pos - keep:pos].copy()
-        self._pos[index] = keep
-        return keep
-
-    def _stage_input(self, values: np.ndarray, out: np.ndarray) -> None:
-        """Replicate the batch plan's input quantization ufunc for ufunc."""
-        plan = self._plan
-        np.multiply(values, plan._input_inv_scale, out=out)
-        if plan._leading_relu:
+    # Numeric kernel surface (see the repro.nn.fastpath module docstring)
+    # ------------------------------------------------------------------ #
+    def _stage(self, values: np.ndarray, out: np.ndarray) -> None:
+        """Quantize raw samples to the first operand's codes, folding the
+        divide into the staging copy."""
+        np.multiply(values, self._input_inv_scale, out=out)
+        if self._leading_relu:
             np.maximum(out, 0.0, out=out)
         np.rint(out, out=out)
         np.clip(out, -QMAX, QMAX, out=out)
 
-    def _requantize(self, out: np.ndarray, conv_index: int) -> None:
-        """The batch plan's fused requantization on a (O, width) column."""
-        plan = self._plan
-        out *= plan._requant_mult[conv_index][:, :, 0]
-        bias = plan._requant_bias[conv_index]
+    def _conv_columns(self, op: tuple, gather: np.ndarray,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
+        """One layer's output codes for the im2col columns in ``gather``."""
+        weight_f32, mult, bias, low = op
+        # Integer matmul carried exactly in a float32 accumulator.
+        out = np.matmul(weight_f32, gather, out=out)
+        # Fused requantization straight to the consumer's codes (ReLU, if
+        # present, is folded into the clip's lower bound of 0).
+        out *= mult
         if bias is not None:
-            out += bias[:, :, 0]
+            out += bias
         np.rint(out, out=out)
-        np.clip(out, plan._requant_low[conv_index], QMAX, out=out)
+        np.clip(out, low, QMAX, out=out)
+        return out
 
-    def _head_outputs(self, flat: np.ndarray) -> Dict[str, np.ndarray]:
+    def _head_rows(self, flat: np.ndarray, heads: Mapping[str, QuantizedLinear],
+                   outs: Optional[Mapping[str, np.ndarray]] = None
+                   ) -> Dict[str, np.ndarray]:
+        """``heads`` over ``(N, features)`` rows of codes, dequantized into
+        ``outs`` or fresh arrays."""
         results: Dict[str, np.ndarray] = {}
-        for name, head in self._heads.items():
-            out = flat @ head._weight_f32_t
+        for name, head in heads.items():
+            out = np.matmul(flat, head._weight_f32_t,
+                            out=None if outs is None else outs[name])
             out *= head._dequant
-            bias = self._plan._head_bias_f32[name]
-            if bias is not None:
-                out += bias
+            if head._bias_f32 is not None:
+                out += head._bias_f32
             results[name] = out
         return results
 
-    # ------------------------------------------------------------------ #
-    def push(self, sample: np.ndarray) -> Optional[Dict[str, np.ndarray]]:
-        """Advance the stream by one sample of shape ``(in_channels,)``.
+    def _stream_ops(self) -> Tuple[List[int], List[tuple]]:
+        """Exact integer GEMMs need no padded call shape: width 1 per conv."""
+        return [1] * len(self._convs), self._ops
 
-        Returns the head outputs (name -> fresh ``(1, out_features)``
-        float32 array) for the window ending at this sample, or ``None``
-        while warming up -- bit-identical to
-        ``QuantizedForwardPlan.forward`` on the same window.
-        """
-        sample = np.asarray(sample, dtype=np.float64).ravel()
-        if sample.shape[0] != self._in_channels:
-            raise ValueError(
-                f"expected a sample of {self._in_channels} channels, "
-                f"got {sample.shape[0]}"
-            )
-        t = self._t
-        self._t = t + 1
-        pos = self._room(0, 1)
-        self._stage_input(sample, self._bufs[0][:, pos])
-        self._pos[0] = pos + 1
-        for index, conv in enumerate(self._plan._convs):
-            if t < self._first_t[index]:
-                break
-            previous = self._bufs[index]
-            newest = self._pos[index] - 1
-            kernel, d_in = conv.kernel_size, self._d_in[index]
-            gather = self._gathers[index]
-            g3 = gather.reshape(conv.in_channels, kernel)
-            for tap in range(kernel):
-                g3[:, tap] = previous[:, newest - (kernel - 1 - tap) * d_in]
-            out = conv._weight_f32 @ gather
-            self._requantize(out, index)
-            pos = self._room(index + 1, 1)
-            self._bufs[index + 1][:, pos] = out[:, 0]
-            self._pos[index + 1] = pos + 1
-        if t < self._warm_t:
-            return None
-        buf = self._bufs[-1]
-        newest = self._pos[-1] - 1
-        length, d = self._final_length, self._final_d
-        final = self._final_buf.reshape(self._final_channels, length)
-        for j in range(length):
-            final[:, j] = buf[:, newest - (length - 1 - j) * d]
-        return self._head_outputs(self._final_buf)
-
-    def push_many(self, samples: np.ndarray) -> Dict[str, np.ndarray]:
-        """Advance by ``(S, in_channels)`` samples; returns per-head
-        ``(S, out_features)`` float32 arrays with NaN warm-up rows --
-        bit-identical to :meth:`push` one sample at a time."""
-        samples = np.ascontiguousarray(np.asarray(samples, dtype=np.float64))
-        if samples.ndim != 2 or samples.shape[1] != self._in_channels:
-            raise ValueError(
-                f"expected samples of shape (S, {self._in_channels}), "
-                f"got {samples.shape}"
-            )
-        total = samples.shape[0]
-        outs = {name: np.full((total, head.out_features), np.nan,
-                              dtype=np.float32)
-                for name, head in self._heads.items()}
-        i = 0
-        while i < total and self._t < self._warm_t:
-            self.push(samples[i])
-            i += 1
-        while i < total:
-            block = samples[i:i + self._block]
-            for name, arr in self._advance_block(block).items():
-                outs[name][i:i + block.shape[0]] = arr
-            i += block.shape[0]
-        return outs
-
-    def _advance_block(self, block: np.ndarray) -> Dict[str, np.ndarray]:
-        count = block.shape[0]
-        self._t += count
-        pos = self._room(0, count)
-        self._stage_input(block.T, self._bufs[0][:, pos:pos + count])
-        self._pos[0] = pos + count
-        for index, conv in enumerate(self._plan._convs):
-            previous = self._bufs[index]
-            base = self._pos[index] - count
-            kernel, d_in = conv.kernel_size, self._d_in[index]
-            gather = np.empty(
-                (conv.in_channels * conv.kernel_size, count),
-                dtype=np.float32)
-            g3 = gather.reshape(conv.in_channels, kernel, count)
-            for tap in range(kernel):
-                start = base - (kernel - 1 - tap) * d_in
-                g3[:, tap] = previous[:, start:start + count]
-            out = conv._weight_f32 @ gather
-            self._requantize(out, index)
-            pos = self._room(index + 1, count)
-            self._bufs[index + 1][:, pos:pos + count] = out
-            self._pos[index + 1] = pos + count
-        buf = self._bufs[-1]
-        base = self._pos[-1] - count
-        length, d = self._final_length, self._final_d
-        flat = np.empty((count, self._final_channels, length),
-                        dtype=np.float32)
-        for j in range(length):
-            start = base - (length - 1 - j) * d
-            flat[:, :, j] = buf[:, start:start + count].T
-        return self._head_outputs(
-            np.ascontiguousarray(flat.reshape(count, -1)))
+    def _stream_stale(self, ops: List[tuple]) -> bool:
+        """Quantized parameters are immutable: bound operands never go stale."""
+        return False

@@ -1,12 +1,14 @@
-"""Bit-parity suite for the incremental forward plans (float and int8).
+"""Bit-parity suite for the streaming forward driver over both kernels.
 
-The contract under test: ``IncrementalForwardPlan.push`` /
-``IncrementalQuantizedPlan.push`` (and their chunked ``push_many``) produce
-**bit-identical** head outputs to the batch plans' ``forward`` on the same
-window -- not approximately equal, ``assert_array_equal`` equal.  The
-deterministic classes pin the mechanics (warm-up, reset, compaction,
-fallback guards); the Hypothesis class sweeps conv shapes, chunk splits,
-NaN warm-up prefixes and mid-stream resets.
+The contract under test: ``IncrementalForwardPlan.push`` (and its chunked
+``push_many``), built on a float ``FastForwardPlan`` or an int8
+``QuantizedForwardPlan`` (``IncrementalQuantizedPlan`` is the same class),
+produces **bit-identical** head outputs to the batch plan's ``forward`` on
+the same window -- not approximately equal, ``assert_array_equal`` equal.
+The deterministic classes pin the mechanics (warm-up, reset, compaction,
+fallback guards, output ownership, re-bound weights); the Hypothesis class
+sweeps conv shapes, chunk splits, NaN warm-up prefixes and mid-stream
+resets.  Cases that do not depend on the kernel take it as one more input.
 """
 
 import numpy as np
@@ -61,9 +63,29 @@ def _batch_quant(plan, stream, window):
             for name, out in plan.forward(xs, layout="nlc").items()}
 
 
+#: one more input for every case that holds on either numeric kernel
+both_kernels = pytest.mark.parametrize("kernel", ["float", "int8"])
+
+
+def _plan(kernel, rng, channels, window, feature_maps):
+    build = _float_plan if kernel == "float" else _quant_plan
+    return build(rng, channels, window, feature_maps)
+
+
+def _batch(plan, stream, window):
+    if isinstance(plan, FastForwardPlan):
+        return _batch_float(plan, stream, window)
+    return _batch_quant(plan, stream, window)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(3)
+
+
+def test_one_driver_class_under_two_names():
+    assert IncrementalQuantizedPlan is IncrementalForwardPlan
+    assert nn.IncrementalQuantizedPlan is nn.IncrementalForwardPlan
 
 
 class TestIncrementalForwardPlan:
@@ -125,28 +147,33 @@ class TestIncrementalForwardPlan:
         rows = inc.push_many(stream)["log_var"]
         np.testing.assert_array_equal(rows[window - 1:], batch["log_var"])
 
-    def test_nan_warmup_prefix_propagates_exactly(self, rng):
+    @both_kernels
+    def test_nan_warmup_prefix_propagates_exactly(self, rng, kernel):
         window, channels = 8, 2
-        plan = _float_plan(rng, channels, window, feature_maps=3)
+        plan = _plan(kernel, rng, channels, window, feature_maps=3)
         stream = rng.normal(size=(30, channels))
         stream[:3] = np.nan
-        batch = _batch_float(plan, stream, window)
+        batch = _batch(plan, stream, window)
         rows = IncrementalForwardPlan(plan).push_many(stream)["log_var"]
         # NaN windows and clean windows alike must match the batch bits.
         np.testing.assert_array_equal(rows[window - 1:], batch["log_var"])
         assert np.isnan(rows[window - 1]).all()       # covers a NaN sample
 
-    def test_head_restriction_does_not_change_bits(self, rng):
+    @both_kernels
+    @pytest.mark.parametrize("sequence", [tuple, list])
+    def test_head_restriction_does_not_change_bits(self, rng, kernel, sequence):
         window, channels = 16, 3
-        plan = _float_plan(rng, channels, window, feature_maps=4)
+        plan = _plan(kernel, rng, channels, window, feature_maps=4)
         stream = rng.normal(size=(40, channels))
         full = IncrementalForwardPlan(plan).push_many(stream)
-        only = IncrementalForwardPlan(plan, heads=("log_var",)).push_many(stream)
+        only = IncrementalForwardPlan(
+            plan, heads=sequence(["log_var"])).push_many(stream)
         assert set(only) == {"log_var"}
         np.testing.assert_array_equal(only["log_var"], full["log_var"])
 
-    def test_unknown_head_rejected(self, rng):
-        plan = _float_plan(rng, 2, 8, feature_maps=3)
+    @both_kernels
+    def test_unknown_head_rejected(self, rng, kernel):
+        plan = _plan(kernel, rng, 2, 8, feature_maps=3)
         with pytest.raises(ValueError, match="unknown heads"):
             IncrementalForwardPlan(plan, heads=("sigma",))
 
@@ -160,19 +187,70 @@ class TestIncrementalForwardPlan:
         with pytest.raises(ValueError):
             IncrementalForwardPlan(plan)
 
-    def test_misaligned_stride_is_rejected(self, rng):
+    @both_kernels
+    def test_misaligned_stride_is_rejected(self, rng, kernel):
         # (L_in - kernel) % stride != 0: the final tap is not right-anchored
         # on the window, so a causal per-sample update cannot reproduce it.
         backbone = nn.Sequential(
             nn.Conv1d(2, 3, kernel_size=2, stride=2, rng=rng), nn.ReLU())
         heads = {"out": nn.Linear(3 * 4, 2, rng=rng)}
-        plan = FastForwardPlan(backbone, heads, in_channels=2, in_length=9)
+        if kernel == "float":
+            plan = FastForwardPlan(backbone, heads, in_channels=2, in_length=9)
+        else:
+            plan = QuantizedForwardPlan.from_network(
+                backbone, heads, in_channels=2, in_length=9,
+                calibration=rng.normal(size=(8, 2, 9)))
         assert not IncrementalForwardPlan.supports(plan)
+        with pytest.raises(ValueError, match="right-anchored"):
+            IncrementalForwardPlan(plan)
 
-    def test_wrong_channel_count_rejected_on_push(self, rng):
-        inc = IncrementalForwardPlan(_float_plan(rng, 3, 8, feature_maps=3))
+    @both_kernels
+    def test_wrong_channel_count_rejected_on_push(self, rng, kernel):
+        inc = IncrementalForwardPlan(_plan(kernel, rng, 3, 8, feature_maps=3))
         with pytest.raises(ValueError, match="channels"):
             inc.push(np.zeros(5))
+        with pytest.raises(ValueError, match="shape"):
+            inc.push_many(np.zeros((4, 5)))
+
+    @both_kernels
+    def test_push_outputs_belong_to_the_caller(self, rng, kernel):
+        """A kept ``push`` row is a fresh array: the next push (or block)
+        does not overwrite it."""
+        window, channels = 8, 2
+        plan = _plan(kernel, rng, channels, window, feature_maps=3)
+        inc = IncrementalForwardPlan(plan)
+        stream = rng.normal(size=(window + 12, channels))
+        kept = [inc.push(sample) for sample in stream[:window + 3]][window - 1:]
+        snapshots = [{name: out.copy() for name, out in row.items()}
+                     for row in kept]
+        inc.push_many(stream[window + 3:])
+        batch = _batch(plan, stream, window)
+        for index, (row, snapshot) in enumerate(zip(kept, snapshots)):
+            for name, out in row.items():
+                assert out.shape == (1, channels)
+                np.testing.assert_array_equal(out, snapshot[name])
+                np.testing.assert_array_equal(out[0], batch[name][index])
+        assert not any(np.shares_memory(a["log_var"], b["log_var"])
+                       for a, b in zip(kept, kept[1:]))
+
+    @both_kernels
+    def test_convless_backbone_is_accepted(self, rng, kernel):
+        """Heads straight on the raw window: both kernels stream it."""
+        window, channels = 4, 2
+        backbone = nn.Sequential(nn.ReLU())
+        heads = {"out": nn.Linear(channels * window, 3, rng=rng)}
+        if kernel == "float":
+            plan = FastForwardPlan(backbone, heads, in_channels=channels,
+                                   in_length=window)
+        else:
+            plan = QuantizedForwardPlan.from_network(
+                backbone, heads, in_channels=channels, in_length=window,
+                calibration=rng.normal(size=(8, channels, window)))
+        stream = rng.normal(size=(15, channels))
+        assert IncrementalForwardPlan.supports(plan)
+        rows = IncrementalForwardPlan(plan).push_many(stream)["out"]
+        np.testing.assert_array_equal(rows[window - 1:],
+                                      _batch(plan, stream, window)["out"])
 
     def test_reads_live_weights(self, rng):
         """Incremental state reads the same live weight views as the batch
@@ -180,13 +258,61 @@ class TestIncrementalForwardPlan:
         plan = _float_plan(rng, 2, 8, feature_maps=3)
         stream = rng.normal(size=(20, 2))
         before = IncrementalForwardPlan(plan).push_many(stream)["log_var"]
-        for kind, layer in plan._steps:
-            if kind == "conv":
-                layer.weight.data *= 1.5
+        for conv in plan._convs:
+            conv.weight.data *= 1.5
         after = IncrementalForwardPlan(plan).push_many(stream)["log_var"]
         assert not np.array_equal(before, after)
         np.testing.assert_array_equal(
             after[7:], _batch_float(plan, stream, 8)["log_var"])
+
+    @pytest.mark.parametrize("mutation", ["load_state_dict", "optimizer_step",
+                                          "in_place_then_reset"])
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_no_output_from_stale_or_mixed_weights(self, rng, mutation, chunked):
+        """Regression: ``load_state_dict`` and optimiser steps replace
+        ``parameter.data``, which used to leave a live stream computing from
+        views of the old arrays.  Every non-``None`` row, before and after
+        the weights change, equals ``forward`` under the weights of the time;
+        a replaced array restarts the warm-up by itself, an in-place update
+        (invisible to an identity check) is followed by ``reset()``."""
+        window, channels, split = 8, 2, 20
+        backbone, heads = _stack(rng, channels, window, 3)
+        plan = FastForwardPlan(backbone, heads, in_channels=channels,
+                               in_length=window)
+        inc = IncrementalForwardPlan(plan, heads=("log_var",))
+        stream = rng.normal(size=(50, channels))
+
+        def advance(samples):
+            if chunked:
+                return inc.push_many(samples)["log_var"]
+            rows = [inc.push(sample) for sample in samples]
+            return np.concatenate([
+                np.full((1, channels), np.nan) if row is None
+                else row["log_var"] for row in rows])
+
+        before = advance(stream[:split])
+        np.testing.assert_array_equal(
+            before[window - 1:],
+            _batch_float(plan, stream[:split], window)["log_var"])
+        if mutation == "load_state_dict":
+            backbone.load_state_dict({name: 1.5 * value for name, value
+                                      in backbone.state_dict().items()})
+        elif mutation == "optimizer_step":
+            parameters = backbone.parameters()
+            for parameter in parameters:
+                parameter.grad = np.ones_like(parameter.data)
+            nn.SGD(parameters, lr=0.05).step()
+        else:
+            for conv in plan._convs:
+                conv.weight.data *= 1.5
+            inc.reset()
+        after = advance(stream[split:])
+        # The warm-up restarted: no row is computed from pre-change columns.
+        assert np.isnan(after[:window - 1]).all()
+        assert inc.samples_seen == stream.shape[0] - split
+        np.testing.assert_array_equal(
+            after[window - 1:],
+            _batch_float(plan, stream[split:], window)["log_var"])
 
 
 class TestIncrementalQuantizedPlan:
@@ -268,15 +394,11 @@ class TestIncrementalParityProperties:
         window = 2 ** window_exp
         rng = np.random.default_rng(seed)
         stream = rng.normal(size=(window + extra, channels))
-        if quantized:
-            plan = _quant_plan(rng, channels, window, feature_maps)
-            inc = IncrementalQuantizedPlan(plan)
-            batch = _batch_quant(plan, stream, window)
-        else:
-            stream[:nan_prefix] = np.nan
-            plan = _float_plan(rng, channels, window, feature_maps)
-            inc = IncrementalForwardPlan(plan)
-            batch = _batch_float(plan, stream, window)
+        stream[:nan_prefix] = np.nan
+        plan = _plan("int8" if quantized else "float", rng, channels, window,
+                     feature_maps)
+        inc = IncrementalForwardPlan(plan)
+        batch = _batch(plan, stream, window)
         rows = []
         for offset in range(0, stream.shape[0], chunk):
             rows.append(inc.push_many(stream[offset:offset + chunk])
@@ -290,13 +412,14 @@ class TestIncrementalParityProperties:
         channels=st.integers(1, 3),
         reset_at=st.integers(1, 30),
         seed=st.integers(0, 2**16),
+        kernel=st.sampled_from(["float", "int8"]),
     )
     @settings(max_examples=15, deadline=None)
     def test_reset_mid_stream_equals_fresh_plan(self, window_exp, channels,
-                                                reset_at, seed):
+                                                reset_at, seed, kernel):
         window = 2 ** window_exp
         rng = np.random.default_rng(seed)
-        plan = _float_plan(rng, channels, window, feature_maps=3)
+        plan = _plan(kernel, rng, channels, window, feature_maps=3)
         inc = IncrementalForwardPlan(plan)
         inc.push_many(rng.normal(size=(reset_at, channels)))
         inc.reset()
