@@ -18,6 +18,9 @@ serving entry points:
    the ``repro canary`` / ``repro promote`` CLI: status is undecided
    under the default gates, bare ``promote`` exits 1 with the --force
    hint, ``promote --force`` swaps, ``promote --rollback`` restores A;
+   then the same flow a second time through ``BinaryClient`` against a
+   server started with ``--protocol binary`` (the production ingest
+   socket takes every lifecycle op too);
 4. **cluster leg** -- ``repro serve --workers 2``: fleet-wide canary
    attach, per-worker status, forced promotion on every shard, rollback.
 
@@ -71,6 +74,31 @@ def _await_file(path: Path, server: subprocess.Popen, what: str) -> None:
         if time.monotonic() > deadline:
             raise RuntimeError(f"{what} never appeared")
         time.sleep(0.2)
+
+
+def _serve(workdir: Path, port_file: Path, *flags: str) -> subprocess.Popen:
+    """``repro serve`` on the workdir's artifact, on an ephemeral port."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--workdir", str(workdir),
+         *flags, "--port", "0", "--port-file", str(port_file),
+         "--max-delay-ms", "2", "--max-seconds", "120"],
+        cwd=REPO, env=_env(),
+    )
+
+
+def _await_clean_exit(server: subprocess.Popen) -> None:
+    code = server.wait(timeout=SERVER_EXIT_TIMEOUT_S)
+    assert code == 0, f"server exited with {code}"
+
+
+def _reap(server: subprocess.Popen) -> None:
+    """Whatever happened, leave no server process behind."""
+    if server.poll() is None:
+        server.terminate()
+        try:
+            server.wait(timeout=10.0)
+        except subprocess.TimeoutExpired:
+            server.kill()
 
 
 def build_artifacts(workdir: Path):
@@ -192,12 +220,7 @@ def wire_leg(artifact_a: Path, artifact_b: Path, workdir: Path,
     from repro.serve import TCPClient
 
     port_file = workdir / "wire-endpoint"
-    server = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--workdir", str(workdir),
-         "--port", "0", "--port-file", str(port_file),
-         "--max-delay-ms", "2", "--max-seconds", "120"],
-        cwd=REPO, env=_env(),
-    )
+    server = _serve(workdir, port_file)
     try:
         _await_file(port_file, server, "server port file")
         endpoint = f"127.0.0.1:{int(port_file.read_text().strip())}"
@@ -217,15 +240,40 @@ def wire_leg(artifact_a: Path, artifact_b: Path, workdir: Path,
                       "--reason", "smoke")
             print("lifecycle-smoke: wire force-promote and rollback OK")
             assert client.shutdown()["ok"]
-        code = server.wait(timeout=SERVER_EXIT_TIMEOUT_S)
-        assert code == 0, f"server exited with {code}"
+        _await_clean_exit(server)
     finally:
-        if server.poll() is None:
-            server.terminate()
-            try:
-                server.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:
-                server.kill()
+        _reap(server)
+
+
+def binary_wire_leg(artifact_a: Path, artifact_b: Path, workdir: Path,
+                    baseline_traffic: np.ndarray) -> None:
+    """The wire leg's flow over a binary-only listener, via BinaryClient."""
+    from repro.serialize import artifact_fingerprint
+    from repro.serve import BinaryClient
+
+    port_file = workdir / "binary-endpoint"
+    server = _serve(workdir, port_file, "--protocol", "binary")
+    try:
+        _await_file(port_file, server, "binary server port file")
+        with BinaryClient(port=int(port_file.read_text().strip())) as client:
+            client.canary(str(artifact_b), fraction=1.0)
+            client.open("wire-0")
+            client.push_stream("wire-0", baseline_traffic[:120])
+            client.close_stream("wire-0")
+            assert client.canary_status()["verdict"] == "undecided"
+            # Default gates need 256 samples; 113 windows hold it back.
+            gated = client.promote()
+            assert not gated["promoted"], gated
+            print("lifecycle-smoke: binary promotion gated")
+            promoted = client.promote(force=True)
+            assert promoted["fingerprint"] == artifact_fingerprint(artifact_b)
+            rolled = client.rollback(reason="smoke")
+            assert rolled["fingerprint"] == artifact_fingerprint(artifact_a)
+            print("lifecycle-smoke: binary force-promote and rollback OK")
+            assert client.shutdown()["ok"]
+        _await_clean_exit(server)
+    finally:
+        _reap(server)
 
 
 def cluster_leg(artifact_a: Path, artifact_b: Path, workdir: Path,
@@ -234,12 +282,7 @@ def cluster_leg(artifact_a: Path, artifact_b: Path, workdir: Path,
     from repro.serve import TCPClient
 
     port_file = workdir / "cluster-endpoint"
-    server = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--workdir", str(workdir),
-         "--workers", "2", "--port", "0", "--port-file", str(port_file),
-         "--max-delay-ms", "2", "--max-seconds", "120"],
-        cwd=REPO, env=_env(),
-    )
+    server = _serve(workdir, port_file, "--workers", "2")
     try:
         _await_file(port_file, server, "router port file")
         port = int(port_file.read_text().strip())
@@ -267,15 +310,9 @@ def cluster_leg(artifact_a: Path, artifact_b: Path, workdir: Path,
             print(f"lifecycle-smoke: fleet of {len(workers)} promoted and "
                   "rolled back through the router")
             assert client.shutdown()["ok"]
-        code = server.wait(timeout=SERVER_EXIT_TIMEOUT_S)
-        assert code == 0, f"server exited with {code}"
+        _await_clean_exit(server)
     finally:
-        if server.poll() is None:
-            server.terminate()
-            try:
-                server.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:
-                server.kill()
+        _reap(server)
 
 
 def main() -> int:
@@ -293,6 +330,7 @@ def main() -> int:
 
     in_process_leg(artifact_a, artifact_b, baseline_traffic)
     wire_leg(artifact_a, artifact_b, workdir, baseline_traffic)
+    binary_wire_leg(artifact_a, artifact_b, workdir, baseline_traffic)
     cluster_leg(artifact_a, artifact_b, workdir, baseline_traffic)
     print("lifecycle-smoke: OK")
     return 0

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import collections
-import json
+import functools
 from contextlib import asynccontextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,9 +42,9 @@ from typing import Any, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from ..obs.metrics import MetricsRegistry
 from ..serve import wire
-from ..serve.tcp import (BinaryClient, _BinaryServerConnection,
-                         _JSONServerConnection, _MalformedRequest,
-                         _json_line, _stats_payload, write_endpoint_file)
+from ..serve.tcp import (_CONNECTIONS, _MalformedRequest, _error_reply,
+                         _check_op, _negotiate, _required_stream,
+                         _serve_requests, _stats_payload, write_endpoint_file)
 from ..serve.transport import Transport
 from .ring import DEFAULT_VIRTUAL_NODES, HashRing
 from .stats import ClusterStats, merge_metrics_pages
@@ -67,20 +67,6 @@ class RouterConfig:
     recover_timeout_s: float = 30.0
     #: per-request timeout on worker trunks
     request_timeout_s: float = 30.0
-
-
-class _AlarmSample:
-    """Duck-typed stand-in for ScoredSample in codec ``write_event``."""
-
-    __slots__ = ("stream_id", "index", "score", "threshold", "fingerprint")
-
-    def __init__(self, stream_id: str, index: int, score: float,
-                 threshold: float, fingerprint=None) -> None:
-        self.stream_id = stream_id
-        self.index = index
-        self.score = score
-        self.threshold = threshold
-        self.fingerprint = fingerprint
 
 
 class _RWGate:
@@ -132,7 +118,7 @@ class _Trunk:
         self.router = router
         self.worker = worker
         self.protocol = protocol
-        self._reader = reader
+        self._codec = _CONNECTIONS[protocol](reader, writer, serving=False)
         self._writer = writer
         self._send_lock = asyncio.Lock()
         self._pending: Deque[asyncio.Future] = collections.deque()
@@ -154,7 +140,7 @@ class _Trunk:
                     f"trunk to worker {self.worker!r} is down")
             self._pending.append(future)
             try:
-                self._writer.write(self._encode(message))
+                self._codec.write(message)
                 await self._writer.drain()
             except (ConnectionResetError, BrokenPipeError, OSError) as error:
                 self._fail(ConnectionError(str(error)))
@@ -164,31 +150,15 @@ class _Trunk:
         return await asyncio.wait_for(
             future, self.router.config.request_timeout_s)
 
-    def _encode(self, message: Dict[str, Any]) -> bytes:
-        if self.protocol == "binary":
-            return wire.encode(BinaryClient._to_frame(message))
-        return _json_line(message)
-
     async def _read_loop(self) -> None:
         try:
-            if self.protocol == "binary":
-                decoder = wire.FrameDecoder()
-                while True:
-                    chunk = await self._reader.read(1 << 16)
-                    if not chunk:
-                        break
-                    decoder.feed(chunk)
-                    for frame in decoder.frames():
-                        await self._deliver(BinaryClient._from_frame(frame))
-            else:
-                while True:
-                    line = await self._reader.readline()
-                    if not line:
-                        break
-                    await self._deliver(json.loads(line.decode("utf-8")))
+            while True:
+                message = await self._codec.read_message()
+                if message is None:
+                    break
+                await self._deliver(message)
         except (ConnectionResetError, BrokenPipeError, OSError,
-                wire.WireProtocolError, json.JSONDecodeError,
-                UnicodeDecodeError) as error:
+                _MalformedRequest) as error:
             self._fail(ConnectionError(str(error)))
             return
         finally:
@@ -471,12 +441,11 @@ class ShardRouter:
         try:
             first = await reader.read(1)
             if first:
-                if first[0] == wire.MAGIC[0]:
-                    codec = _BinaryServerConnection(reader, writer, first)
-                else:
-                    codec = _JSONServerConnection(reader, writer, first)
-                conn = _ClientConn(codec, writer)
-                await self._connection_loop(conn)
+                conn = _ClientConn(_negotiate(reader, writer, first), writer)
+                if await _serve_requests(
+                        conn.codec, writer,
+                        functools.partial(self._dispatch, conn)):
+                    self.request_stop()
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -490,28 +459,6 @@ class ShardRouter:
             except asyncio.CancelledError:
                 # Loop teardown cancelled us mid-close; the transport is
                 # going away with the loop, so a silent return is clean.
-                return
-
-    async def _connection_loop(self, conn: _ClientConn) -> None:
-        while True:
-            try:
-                message = await conn.codec.read_request()
-            except _MalformedRequest as error:
-                conn.codec.write_error(error)
-                try:
-                    await conn.writer.drain()
-                except (ConnectionResetError, BrokenPipeError):
-                    return
-                if error.fatal:
-                    return
-                continue
-            if message is None:
-                return
-            reply = await self._dispatch(conn, message)
-            conn.codec.write_reply(reply)
-            await conn.writer.drain()
-            if reply.get("op") == "shutdown" and reply.get("ok"):
-                self.request_stop()
                 return
 
     async def _cleanup_client(self, conn: _ClientConn) -> None:
@@ -541,60 +488,35 @@ class ShardRouter:
                 self._streams.pop(stream_id, None)
 
     # -- dispatch ------------------------------------------------------------ #
-    async def _dispatch(self, conn: _ClientConn,
+    async def _dispatch(self, conn: _ClientConn, op: Optional[wire.Op],
                         message: Dict[str, Any]) -> Dict[str, Any]:
-        op = message.get("op")
+        """Route one request by its op's ``route`` in ``serve.wire.OPS``."""
         try:
-            if op == "ping":
-                return {"ok": True, "op": "ping"}
-            if op in ("open", "push", "close"):
-                return await self._stream_op(conn, op, message)
-            if op == "stats":
-                cluster = await self._cluster_stats()
-                return dict(_stats_payload(cluster.total),
-                            ok=True, op="stats")
-            if op == "snapshot":
-                return {"ok": True, "op": "snapshot",
-                        "snapshot": await self._fleet_snapshot()}
-            if op == "metrics":
-                return {"ok": True, "op": "metrics",
-                        "text": await self._fleet_metrics()}
-            if op == "trace":
+            _check_op(self, op, message)
+            if op.route == "stream":
+                return await self._stream_op(conn, op.name, message)
+            if op.route == "local":
+                return {"ok": True, "op": op.name}
+            if op.route == "worker":
                 raise ValueError(
-                    "trace is per-worker on a cluster; scrape a worker "
-                    "endpoint (or its observability port) directly")
-            if op in ("export_session", "import_session"):
-                raise ValueError(
-                    "session handoff is disabled on this server")
-            if op == "canary":
-                return await self._fleet_canary(message)
-            if op == "canary_status":
-                return await self._fleet_canary_status(message)
-            if op == "canary_stop":
-                return await self._fleet_canary_stop(message)
-            if op == "promote":
-                return await self._fleet_promote(message)
-            if op == "rollback":
-                return await self._fleet_rollback(message)
-            if op == "shutdown":
-                if not self.allow_shutdown:
-                    raise ValueError("shutdown is disabled on this server")
-                return {"ok": True, "op": "shutdown"}
-            raise ValueError(f"unknown op {op!r}")
+                    f"{op.name} is per-worker on a cluster; ask a worker "
+                    f"endpoint (or its observability port) directly")
+            if op.route == "merge":
+                # Fleet read-outs: merged from whichever workers answer.
+                body = await getattr(self, "_merged_" + op.name)()
+                return {"ok": True, "op": op.name, **body}
+            # unanimous: lifecycle controls reach every ring worker or none
+            return await getattr(self, "_fleet_" + op.name)(message)
         except asyncio.TimeoutError:
-            return {"ok": False, "op": op if isinstance(op, str) else None,
-                    "error": "worker did not answer within the trunk "
-                             "timeout"}
+            return _error_reply(
+                message, "worker did not answer within the trunk timeout")
         except (ValueError, TypeError, KeyError, RuntimeError,
                 ConnectionError, LookupError) as error:
-            return {"ok": False, "op": op if isinstance(op, str) else None,
-                    "error": str(error)}
+            return _error_reply(message, error)
 
     async def _stream_op(self, conn: _ClientConn, op: str,
                          message: Dict[str, Any]) -> Dict[str, Any]:
-        stream_id = message.get("stream")
-        if not isinstance(stream_id, str) or not stream_id:
-            raise ValueError(f"op {op!r} needs a 'stream' string")
+        stream_id = _required_stream(message)
         self._requests_proxied.labels(op=op).inc()
         async with self._gate.read_locked():
             worker = self.ring.owner(stream_id)
@@ -660,12 +582,9 @@ class ShardRouter:
         route = self._streams.get(message.get("stream", ""))
         if route is None:
             return
-        sample = _AlarmSample(message["stream"], message["index"],
-                              message["score"], message["threshold"],
-                              message.get("fingerprint"))
         for conn in list(route.conns):
             try:
-                conn.codec.write_event(sample)
+                conn.codec.write(message)
                 await conn.writer.drain()
                 self._alarms_forwarded += 1
             except (ConnectionResetError, BrokenPipeError, OSError):
@@ -886,14 +805,15 @@ class ShardRouter:
                 replies[worker] = reply
         return replies
 
-    async def _cluster_stats(self) -> ClusterStats:
+    async def _merged_stats(self) -> Dict[str, Any]:
         replies = await self._gather_fleet({"op": "snapshot"})
-        return ClusterStats.from_snapshots(
+        cluster = ClusterStats.from_snapshots(
             {worker: reply["snapshot"] for worker, reply in replies.items()})
+        return _stats_payload(cluster.total)
 
-    async def _fleet_snapshot(self) -> Dict[str, Any]:
+    async def _merged_snapshot(self) -> Dict[str, Any]:
         replies = await self._gather_fleet({"op": "snapshot"})
-        return {
+        return {"snapshot": {
             "workers": {worker: reply["snapshot"]
                         for worker, reply in replies.items()},
             "cluster": {
@@ -907,7 +827,10 @@ class ShardRouter:
                 "rebalances": self._rebalances_total,
                 "streams_routed": self._live_route_count(),
             },
-        }
+        }}
+
+    async def _merged_metrics(self) -> Dict[str, Any]:
+        return {"text": await self._fleet_metrics()}
 
     async def _fleet_metrics(self) -> str:
         replies = await self._gather_fleet({"op": "metrics"})

@@ -13,7 +13,11 @@ Every connection speaks one of two *protocols*, decided by its first byte
   per PUSH frame; the compact ingest path for high sample rates (see
   :mod:`repro.serve.wire` for the frame layout).
 
-JSON requests (client -> server)::
+The ops are the rows of :data:`repro.serve.wire.OPS` (codes, payloads,
+cluster route and gate are tabled in that module's docstring).  An op's
+request and reply are the same *message* over either protocol -- JSON
+spells it as one line, binary as one frame -- so every op, the
+model-lifecycle ones included, works over both.  Requests::
 
     {"op": "open",  "stream": "cell-7"}            optional: "max_samples",
                                                    "tenant" (cluster workers)
@@ -24,19 +28,24 @@ JSON requests (client -> server)::
     {"op": "metrics"}                              Prometheus text snapshot
     {"op": "trace"}                                Chrome trace JSON snapshot
     {"op": "snapshot"}                             rich JSON state (always on)
-    {"op": "shutdown"}                             stops the whole server
+    {"op": "canary", "artifact": "/srv/b"}         optional: "fraction",
+                                                   "gates", "watch"
+    {"op": "canary_status"}
+    {"op": "canary_stop"}
+    {"op": "promote"}                              optional: "force"
+    {"op": "rollback"}                             optional: "reason"
+    {"op": "export_session", "stream": "cell-7"}   needs allow_handoff
+    {"op": "import_session", "state": "<base64>"}  needs allow_handoff
+    {"op": "shutdown"}                             needs allow_shutdown
 
 (``metrics`` and ``trace`` answer only when the service was built with
 ``ServiceConfig(observability=True)``; otherwise they get a structured
 error reply, like any other rejected op.  ``snapshot`` answers always --
 it reads counters the hot path maintains anyway -- and is what
-:mod:`repro.cluster` aggregates into fleet stats.)
-
-Two further control-plane ops exist for the cluster's session re-homing,
-``export_session`` and ``import_session``; they are refused unless the
-server was built with ``allow_handoff=True`` (cluster workers only --
+:mod:`repro.cluster` aggregates into fleet stats.  The handoff ops exist
+for the cluster's session re-homing and only cluster workers enable them:
 imported blobs are pickles and must never be accepted from untrusted
-clients).
+clients.  The lifecycle ops also take a ``"tenant"`` on such workers.)
 
 Every request gets exactly one reply, in request order::
 
@@ -50,12 +59,12 @@ raised by any stream of this connection::
     {"event": "alarm", "stream": "cell-7", "index": 412,
      "score": 3.1, "threshold": 1.9}
 
-The binary protocol mirrors the same six ops frame-for-frame; its PUSH
-frames batch ``(n_samples, n_channels)`` float32 blocks and are acked once
-per frame.  Malformed JSON gets an error *reply* and the connection
-continues; malformed binary framing gets an ERROR frame and the connection
-closes (a corrupted byte stream cannot be resynchronised).  Either way the
-service itself never crashes and the connection's sessions are cleaned up.
+Binary PUSH frames batch ``(n_samples, n_channels)`` float32 blocks and are
+acked once per frame.  Malformed JSON gets an error *reply* and the
+connection continues; malformed binary framing gets an ERROR frame and the
+connection closes (a corrupted byte stream cannot be resynchronised).
+Either way the service itself never crashes and the connection's sessions
+are cleaned up.
 
 ``close`` replies with the session summary (samples pushed/scored/dropped,
 adaptation event count), so a producer gets its end-of-stream accounting
@@ -78,11 +87,14 @@ from __future__ import annotations
 
 import asyncio
 import base64
+import dataclasses
+import functools
 import json
 import os
 import socket
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import (Any, Awaitable, Callable, Dict, Iterable, List, Optional,
+                    Union)
 
 import numpy as np
 
@@ -100,14 +112,8 @@ __all__ = ["AnomalyWireServer", "AnomalyTCPServer", "TCPClient",
 #: restricts them (e.g. binary-only for a production ingest socket).
 PROTOCOLS = ("json", "binary")
 
-_OP_CODES = {"open": wire.OP_OPEN, "push": wire.OP_PUSH,
-             "close": wire.OP_CLOSE, "stats": wire.OP_STATS,
-             "ping": wire.OP_PING, "shutdown": wire.OP_SHUTDOWN,
-             "metrics": wire.OP_METRICS, "trace": wire.OP_TRACE,
-             "snapshot": wire.OP_SNAPSHOT,
-             "export_session": wire.OP_EXPORT_SESSION,
-             "import_session": wire.OP_IMPORT_SESSION}
-_OP_NAMES = {code: name for name, code in _OP_CODES.items()}
+#: A JSON-protocol message: request, reply or event (module docstring).
+Message = Dict[str, Any]
 
 
 def write_endpoint_file(path: Union[str, Path], text: str) -> None:
@@ -142,40 +148,41 @@ class _MalformedRequest(Exception):
         self.request_op = request_op
         self.fatal = fatal
 
-
-def _event_payload(sample: ScoredSample) -> Dict[str, Any]:
-    payload = {
-        "event": "alarm",
-        "stream": sample.stream_id,
-        "index": sample.index,
-        "score": sample.score,
-        "threshold": sample.threshold,
-    }
-    # Optional so fingerprint-less events keep the pre-lifecycle shape.
-    if sample.fingerprint is not None:
-        payload["fingerprint"] = sample.fingerprint
-    return payload
+    def reply(self) -> Message:
+        return {"ok": False, "op": self.request_op, "error": self.message}
 
 
-def _json_line(payload: Dict[str, Any]) -> bytes:
+def _event_payload(sample: ScoredSample) -> Message:
+    """The alarm event message, shaped by the ALARM_EVENT row."""
+    return wire.to_message(wire.AlarmEvent(
+        sample.stream_id, sample.index, sample.score, sample.threshold,
+        sample.fingerprint))
+
+
+def _json_line(payload: Message) -> bytes:
     return (json.dumps(payload) + "\n").encode("utf-8")
 
 
 # --------------------------------------------------------------------------- #
-# Server-side protocol codecs
+# Protocol codecs: one asyncio connection end, as messages
 # --------------------------------------------------------------------------- #
-class _JSONServerConnection:
-    """Line-delimited JSON framing for one server connection."""
+# ``serving`` ends (a server's or router's accepted connections) read
+# requests and write replies and events; the other end (a router's trunk
+# to a worker) writes requests and reads replies and events.
+class _JSONConnection:
+    """Line-delimited JSON framing for one connection end."""
 
     protocol = "json"
 
     def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter, first_byte: bytes) -> None:
+                 writer: asyncio.StreamWriter, first_byte: bytes = b"", *,
+                 serving: bool = True) -> None:
         self._reader = reader
         self._writer = writer
         self._first = first_byte
+        self._serving = serving
 
-    async def read_request(self) -> Optional[Dict[str, Any]]:
+    async def read_message(self) -> Optional[Message]:
         line = await self._reader.readline()
         if self._first:
             line, self._first = self._first + line, b""
@@ -185,36 +192,34 @@ class _JSONServerConnection:
             message = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise _MalformedRequest(f"bad JSON line: {error}") from error
-        if not isinstance(message, dict) or "op" not in message:
+        if not isinstance(message, dict) \
+                or (self._serving and "op" not in message):
             raise _MalformedRequest(
                 "each line must be an object with an 'op' key")
         return message
 
-    def write_reply(self, reply: Dict[str, Any]) -> None:
-        self._writer.write(_json_line(reply))
-
-    def write_error(self, error: _MalformedRequest) -> None:
-        self.write_reply({"ok": False, "op": error.request_op,
-                          "error": error.message})
-
-    def write_event(self, sample: ScoredSample) -> None:
-        self._writer.write(_json_line(_event_payload(sample)))
+    def write(self, message: Message) -> None:
+        """Queue one message on the connection."""
+        self._writer.write(_json_line(message))
 
 
-class _BinaryServerConnection:
-    """Binary wire framing for one server connection."""
+class _BinaryConnection:
+    """Binary wire framing for one connection end."""
 
     protocol = "binary"
 
     def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter, first_byte: bytes) -> None:
+                 writer: asyncio.StreamWriter, first_byte: bytes = b"", *,
+                 serving: bool = True) -> None:
         self._reader = reader
         self._writer = writer
+        self._reads, self._writes = ("request", "reply") if serving \
+            else ("reply", "request")
         self._decoder = wire.FrameDecoder()
         self._decoder.feed(first_byte)
         self._pending: List[wire.Frame] = []
 
-    async def read_request(self) -> Optional[Dict[str, Any]]:
+    async def read_message(self) -> Optional[Message]:
         while not self._pending:
             try:
                 self._pending.extend(self._decoder.frames())
@@ -231,103 +236,110 @@ class _BinaryServerConnection:
                         "connection dropped mid-frame", fatal=True)
                 return None
             self._decoder.feed(chunk)
-        return self._to_message(self._pending.pop(0))
+        frame = self._pending.pop(0)
+        if frame.role != self._reads:
+            # A structurally valid frame of the wrong direction (a client
+            # echoing server reply ops): framing is still synchronised, so
+            # answer with a structured error and keep the connection.
+            raise _MalformedRequest(
+                f"frame op 0x{frame.op:02X} is not a {self._reads} op")
+        try:
+            return wire.to_message(frame)
+        except wire.WireProtocolError as error:
+            # A well-framed frame whose JSON body does not parse: same
+            # non-fatal outcome, echoing the op it was sent as.
+            raise _MalformedRequest(
+                str(error), request_op=frame.envelope.get("op")) from error
 
-    @staticmethod
-    def _to_message(frame: wire.Frame) -> Dict[str, Any]:
-        if isinstance(frame, wire.Open):
-            message: Dict[str, Any] = {"op": "open", "stream": frame.stream}
-            if frame.max_samples is not None:
-                message["max_samples"] = frame.max_samples
-            if frame.tenant is not None:
-                message["tenant"] = frame.tenant
-            return message
-        if isinstance(frame, wire.Push):
-            return {"op": "push", "stream": frame.stream,
-                    "values": np.asarray(frame.samples, dtype=np.float64)}
-        if isinstance(frame, wire.Close):
-            return {"op": "close", "stream": frame.stream}
-        if isinstance(frame, wire.ExportSession):
-            return {"op": "export_session", "stream": frame.stream}
-        if isinstance(frame, wire.ImportSession):
-            return {"op": "import_session", "tenant": frame.tenant,
-                    "state": frame.state}
-        for frame_type, op in ((wire.Stats, "stats"), (wire.Ping, "ping"),
-                               (wire.Shutdown, "shutdown"),
-                               (wire.Metrics, "metrics"),
-                               (wire.Trace, "trace"),
-                               (wire.Snapshot, "snapshot")):
-            if isinstance(frame, frame_type):
-                return {"op": op}
-        # A structurally valid frame that is not a request (a client echoing
-        # server reply ops): framing is still synchronised, so answer with a
-        # structured error and keep the connection.
-        raise _MalformedRequest(
-            f"frame op 0x{frame.op:02X} is not a request op")
+    def write(self, message: Message) -> None:
+        """Queue one message on the connection."""
+        self._writer.write(
+            wire.encode(wire.from_message(message, self._writes)))
 
-    def write_reply(self, reply: Dict[str, Any]) -> None:
-        self._writer.write(wire.encode(self._to_frame(reply)))
 
-    def write_error(self, error: _MalformedRequest) -> None:
-        request_op = _OP_CODES.get(error.request_op, 0)
-        self._writer.write(wire.encode(
-            wire.ErrorReply(request_op=request_op, message=error.message)))
+_CONNECTIONS = {"json": _JSONConnection, "binary": _BinaryConnection}
 
-    def write_event(self, sample: ScoredSample) -> None:
-        self._writer.write(wire.encode(wire.AlarmEvent(
-            stream=sample.stream_id, index=sample.index,
-            score=sample.score, threshold=sample.threshold,
-            fingerprint=sample.fingerprint)))
 
-    @staticmethod
-    def _to_frame(reply: Dict[str, Any]) -> wire.Frame:
-        op = reply.get("op")
-        if not reply.get("ok"):
-            return wire.ErrorReply(request_op=_OP_CODES.get(op, 0),
-                                   message=str(reply.get("error")))
-        if op == "open":
-            return wire.OpenAck(stream=reply["stream"],
-                                window=reply["window"],
-                                incremental=reply["incremental"],
-                                threshold=reply["threshold"])
-        if op == "push":
-            return wire.PushAck(accepted=reply["accepted"])
-        if op == "close":
-            return wire.CloseAck(
-                stream=reply["stream"],
-                samples_pushed=reply["samples_pushed"],
-                samples_scored=reply["samples_scored"],
-                samples_dropped=reply["samples_dropped"],
-                adaptation_events=reply["adaptation_events"])
-        if op == "stats":
-            p99 = reply["queue_delay_p99_s"]
-            return wire.StatsAck(
-                live_sessions=reply["live_sessions"],
-                samples_pushed=reply["samples_pushed"],
-                samples_scored=reply["samples_scored"],
-                samples_dropped=reply["samples_dropped"],
-                flushes=reply["flushes"],
-                mean_batch_size=reply["mean_batch_size"],
-                queue_delay_p99_s=float("nan") if p99 is None else p99)
-        if op == "ping":
-            return wire.PingAck()
-        if op == "shutdown":
-            return wire.ShutdownAck()
-        if op == "metrics":
-            return wire.MetricsAck(text=reply["text"])
-        if op == "trace":
-            return wire.TraceAck(json_text=json.dumps(
-                reply["trace"], allow_nan=False, separators=(",", ":")))
-        if op == "snapshot":
-            return wire.SnapshotAck(json_text=json.dumps(
-                reply["snapshot"], allow_nan=False, separators=(",", ":")))
-        if op == "export_session":
-            return wire.ExportSessionAck(stream=reply["stream"],
-                                         tenant=reply["tenant"],
-                                         state=reply["state"])
-        if op == "import_session":
-            return wire.ImportSessionAck(stream=reply["stream"])
-        raise RuntimeError(f"no binary encoding for reply op {op!r}")
+def _negotiate(reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
+               first: bytes):
+    """First byte decides the protocol: 0xAB = binary, else line JSON."""
+    protocol = "binary" if first == wire.MAGIC[:1] else "json"
+    return _CONNECTIONS[protocol](reader, writer, first)
+
+
+async def _serve_requests(
+        codec, writer: asyncio.StreamWriter,
+        dispatch: Callable[[Optional[wire.Op], Message], Awaitable[Message]],
+        *, protocols: Iterable[str] = PROTOCOLS,
+        count: Optional[Callable[..., None]] = None) -> bool:
+    """The request loop of every front door (wire server, cluster router).
+
+    Read a request, answer a malformed one from the codec's verdict,
+    otherwise look its op up (``None``: not in the table), ``dispatch``
+    both and write the reply -- until EOF, a fatal malformation, or an
+    acknowledged ``shutdown`` (the one ``True`` return).  ``count(family,
+    **labels)`` bumps the wire counters of a front door that keeps any.
+    """
+    if codec.protocol not in protocols:
+        codec.write(_MalformedRequest(
+            f"the {codec.protocol} protocol is disabled on this server "
+            f"(accepted: {', '.join(protocols)})").reply())
+        await writer.drain()
+        return False
+    if count is not None:
+        count("connections", protocol=codec.protocol)
+    while True:
+        try:
+            message = await codec.read_message()
+        except _MalformedRequest as error:
+            if count is not None:
+                count("errors", protocol=codec.protocol)
+            codec.write(error.reply())
+            try:
+                await writer.drain()
+            except (ConnectionResetError, BrokenPipeError):
+                return False
+            if error.fatal:
+                return False
+            continue
+        if message is None:
+            return False
+        op = wire.lookup(message.get("op"))
+        reply = await dispatch(op, message)
+        if count is not None:
+            count("requests", protocol=codec.protocol,
+                  op="unknown" if op is None else op.name)
+            if not reply.get("ok"):
+                count("errors", protocol=codec.protocol)
+        codec.write(reply)
+        await writer.drain()
+        if reply.get("op") == "shutdown" and reply.get("ok"):
+            return True
+
+
+def _error_reply(message: Message, error: Any) -> Message:
+    name = message.get("op")
+    return {"ok": False, "op": name if isinstance(name, str) else None,
+            "error": str(error)}
+
+
+def _check_op(server, op: Optional[wire.Op], message: Message) -> None:
+    """Refuse a request whose op the table lacks or whose gate is closed:
+    the ``allow_<gate>`` switch of ``server``, off if it has none."""
+    if op is None:
+        raise ValueError(f"unknown op {message.get('op')!r}")
+    if op.gate is not None and not getattr(server, "allow_" + op.gate, False):
+        raise ValueError(f"{op.gate} is disabled on this server")
+
+
+#: One connection's streams (opened, auto-opened or imported): stream id
+#: -> still open.  Open ones are closed (and drained) when the connection
+#: drops; the alarm forwarder filters on every KEY -- every stream the
+#: connection ever owned -- because a close drains pending windows whose
+#: alarms are broadcast before the close handler marks the stream closed,
+#: and those end-of-stream alarms must still reach the client.
+#: (Consequence: do not reuse a closed stream id from another connection.)
+_Owned = Dict[str, bool]
 
 
 class AnomalyWireServer:
@@ -362,29 +374,26 @@ class AnomalyWireServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopping: Optional[asyncio.Event] = None
         # Wire-level metric families, registered into the service's
-        # registry when observability is on (None family = no-op).
-        self._connections_total = None
-        self._requests_total = None
-        self._wire_errors_total = None
-        self._alarm_events_total = None
+        # registry when observability is on (none registered = no-op).
+        self._counters: Dict[str, Any] = {}
         if service.observability is not None:
-            registry = service.observability.registry
-            self._connections_total = registry.counter(
-                "repro_wire_connections_total",
-                "Connections accepted, by negotiated protocol.",
-                labels=("protocol",))
-            self._requests_total = registry.counter(
-                "repro_wire_requests_total",
-                "Requests dispatched, by protocol and op.",
-                labels=("protocol", "op"))
-            self._wire_errors_total = registry.counter(
-                "repro_wire_errors_total",
-                "Error replies sent (malformed frames + rejected ops).",
-                labels=("protocol",))
-            self._alarm_events_total = registry.counter(
-                "repro_wire_alarm_events_total",
-                "Unsolicited alarm events forwarded to clients.",
-                labels=("protocol",))
+            counter = service.observability.registry.counter
+            for family, labels, text in (
+                    ("connections", ("protocol",),
+                     "Connections accepted, by negotiated protocol."),
+                    ("requests", ("protocol", "op"),
+                     "Requests dispatched, by protocol and op."),
+                    ("errors", ("protocol",),
+                     "Error replies sent (malformed frames + rejected ops)."),
+                    ("alarm_events", ("protocol",),
+                     "Unsolicited alarm events forwarded to clients.")):
+                self._counters[family] = counter(
+                    f"repro_wire_{family}_total", text, labels=labels)
+
+    def _count(self, family: str, **labels: str) -> None:
+        counter = self._counters.get(family)
+        if counter is not None:
+            counter.labels(**labels).inc()
 
     @property
     def bound_port(self) -> int:
@@ -451,7 +460,7 @@ class AnomalyWireServer:
         """Tenant-name view of :meth:`_all_services` (snapshot schema)."""
         return {"default": self.service}
 
-    def _service_for(self, message: Dict[str, Any]) -> AnomalyService:
+    def _service_for(self, message: Message) -> AnomalyService:
         """Resolve the service a stream op addresses (tenant routing hook)."""
         if message.get("tenant") not in (None, "default"):
             raise ValueError(
@@ -463,8 +472,7 @@ class AnomalyWireServer:
         """The tenant key a session belongs to (export replies carry it)."""
         return "default"
 
-    def _register_stream(self, stream_id: str,
-                         message: Dict[str, Any]) -> None:
+    def _register_stream(self, stream_id: str, message: Message) -> None:
         """Hook: a stream was opened/imported (tenant bookkeeping)."""
 
     def _forget_stream(self, stream_id: str) -> None:
@@ -496,24 +504,20 @@ class AnomalyWireServer:
     # -- per-connection handling ------------------------------------------- #
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        owned: List[str] = []
-        # The forwarder filters on every stream this connection EVER owned,
-        # not the live set: a close drains pending windows whose alarms are
-        # broadcast before the close handler prunes `owned`, and those
-        # end-of-stream alarms must still reach the client.  (Consequence:
-        # do not reuse a closed stream id from a different connection.)
-        ever_owned: set = set()
+        owned: _Owned = {}
         alarm_tasks: List[asyncio.Task] = []
         try:
             first = await reader.read(1)
             if first:
-                codec = self._negotiate(reader, writer, first)
+                codec = _negotiate(reader, writer, first)
                 alarm_tasks = [
                     asyncio.create_task(
-                        self._forward_alarms(service, codec, writer,
-                                             ever_owned))
+                        self._forward_alarms(service, codec, writer, owned))
                     for service in self._all_services()]
-                await self._connection_loop(codec, writer, owned, ever_owned)
+                await _serve_requests(
+                    codec, writer, functools.partial(self._dispatch, owned),
+                    protocols=self.protocols,
+                    count=self._count if self._counters else None)
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -525,9 +529,9 @@ class AnomalyWireServer:
                 except asyncio.CancelledError:
                     pass
             # A dropped producer must not leak its sessions.
-            for stream_id in owned:
+            for stream_id, still_open in owned.items():
                 service = self._session_service(stream_id)
-                if service is not None:
+                if still_open and service is not None:
                     try:
                         await service.close_session(stream_id)
                     except RuntimeError:
@@ -539,210 +543,161 @@ class AnomalyWireServer:
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
-    def _negotiate(self, reader: asyncio.StreamReader,
-                   writer: asyncio.StreamWriter, first: bytes):
-        """First byte decides the protocol: 0xAB = binary, else line JSON."""
-        if first == wire.MAGIC[:1]:
-            codec = _BinaryServerConnection(reader, writer, first)
-        else:
-            codec = _JSONServerConnection(reader, writer, first)
-        return codec
-
-    async def _connection_loop(self, codec, writer: asyncio.StreamWriter,
-                               owned: List[str], ever_owned: set) -> None:
-        if codec.protocol not in self.protocols:
-            codec.write_error(_MalformedRequest(
-                f"the {codec.protocol} protocol is disabled on this server "
-                f"(accepted: {', '.join(self.protocols)})", fatal=True))
-            await writer.drain()
-            return
-        if self._connections_total is not None:
-            self._connections_total.labels(protocol=codec.protocol).inc()
-        while True:
-            try:
-                message = await codec.read_request()
-            except _MalformedRequest as error:
-                if self._wire_errors_total is not None:
-                    self._wire_errors_total.labels(
-                        protocol=codec.protocol).inc()
-                codec.write_error(error)
-                try:
-                    await writer.drain()
-                except (ConnectionResetError, BrokenPipeError):
-                    return
-                if error.fatal:
-                    return
-                continue
-            if message is None:
-                return
-            if self._requests_total is not None:
-                op = message.get("op")
-                self._requests_total.labels(
-                    protocol=codec.protocol,
-                    op=op if op in _OP_CODES else "unknown").inc()
-            reply = await self._dispatch(message, owned, ever_owned)
-            if not reply.get("ok") and self._wire_errors_total is not None:
-                self._wire_errors_total.labels(protocol=codec.protocol).inc()
-            codec.write_reply(reply)
-            await writer.drain()
-            if reply.get("op") == "shutdown" and reply.get("ok"):
-                return
-
     async def _forward_alarms(self, service: AnomalyService, codec,
                               writer: asyncio.StreamWriter,
-                              ever_owned: set) -> None:
+                              owned: _Owned) -> None:
         async for alarm in service.alarms():
-            if alarm.stream_id not in ever_owned:
+            if alarm.stream_id not in owned:
                 continue
             try:
-                codec.write_event(alarm)
+                codec.write(_event_payload(alarm))
                 await writer.drain()
             except (ConnectionResetError, BrokenPipeError):
                 return
-            if self._alarm_events_total is not None:
-                self._alarm_events_total.labels(
-                    protocol=codec.protocol).inc()
+            self._count("alarm_events", protocol=codec.protocol)
 
-    async def _dispatch(self, message: Dict[str, Any], owned: List[str],
-                        ever_owned: set) -> Dict[str, Any]:
-        op = message["op"]
+    async def _dispatch(self, owned: _Owned, op: Optional[wire.Op],
+                        message: Message) -> Message:
+        """Check the op and its gate, run its ``_op_<name>`` handler.
+
+        Handlers return the op-specific reply fields; the ``ok``/``op``
+        envelope, and the error reply for whatever one raises, come here.
+        """
         try:
-            if op == "ping":
-                return {"ok": True, "op": "ping"}
-            if op == "stats":
-                return dict(_stats_payload(self._merged_stats()),
-                            ok=True, op="stats")
-            if op == "snapshot":
-                return {"ok": True, "op": "snapshot",
-                        "snapshot": self._snapshot()}
-            if op == "open":
-                stream_id = _required_stream(message)
-                service = self._service_for(message)
-                session = await service.open_session(
-                    stream_id, max_samples=message.get("max_samples"))
-                self._register_stream(stream_id, message)
-                owned.append(stream_id)
-                ever_owned.add(stream_id)
-                threshold = session.threshold
-                return {"ok": True, "op": "open", "stream": stream_id,
-                        "window": service.detector.window,
-                        "incremental": session.incremental_active,
-                        "threshold": None if threshold is None
-                        else threshold.threshold}
-            if op == "push":
-                stream_id = _required_stream(message)
-                block = _push_block(message)
-                service = self._session_service(stream_id)
-                if service is None:
-                    service = self._service_for(message)  # auto-open path
-                    self._register_stream(stream_id, message)
-                    owned.append(stream_id)
-                    ever_owned.add(stream_id)
-                for row in block:
-                    await service.push(stream_id, row)
-                return {"ok": True, "op": "push",
-                        "accepted": int(block.shape[0])}
-            if op == "close":
-                stream_id = _required_stream(message)
-                service = self._session_service(stream_id)
-                if service is None:
-                    raise ValueError(f"unknown stream {stream_id!r}")
-                session = await service.close_session(stream_id)
-                self._forget_stream(stream_id)
-                if stream_id in owned:
-                    owned.remove(stream_id)
-                return {"ok": True, "op": "close", "stream": stream_id,
-                        "samples_pushed": session.samples_pushed,
-                        "samples_scored": session.samples_scored,
-                        "samples_dropped": session.samples_dropped,
-                        "adaptation_events": len(session.adaptation_events)}
-            if op == "export_session":
-                if not self.allow_handoff:
-                    raise ValueError(
-                        "session handoff is disabled on this server")
-                stream_id = _required_stream(message)
-                service = self._session_service(stream_id)
-                if service is None:
-                    raise ValueError(f"unknown stream {stream_id!r}")
-                tenant = self._tenant_for_stream(stream_id)
-                blob = await service.export_session(stream_id)
-                self._forget_stream(stream_id)
-                if stream_id in owned:
-                    owned.remove(stream_id)
-                return {"ok": True, "op": "export_session",
-                        "stream": stream_id, "tenant": tenant,
-                        "state": base64.b64encode(blob).decode("ascii")}
-            if op == "import_session":
-                if not self.allow_handoff:
-                    raise ValueError(
-                        "session handoff is disabled on this server")
-                service = self._service_for(message)
-                state = message.get("state")
-                if not isinstance(state, str) or not state:
-                    raise ValueError("import_session needs a 'state' string")
-                session = await service.import_session(
-                    base64.b64decode(state.encode("ascii")))
-                self._register_stream(session.stream_id, message)
-                owned.append(session.stream_id)
-                ever_owned.add(session.stream_id)
-                return {"ok": True, "op": "import_session",
-                        "stream": session.stream_id}
-            if op == "metrics":
-                return {"ok": True, "op": "metrics",
-                        "text": self._metrics_text()}
-            if op == "trace":
-                return {"ok": True, "op": "trace",
-                        "trace": self.service.trace_export()}
-            if op == "canary":
-                service = self._service_for(message)
-                controller = _build_canary(message)
-                service.attach_canary(controller)
-                watch = message.get("watch")
-                if watch is not None and watch is not False:
-                    from ..lifecycle import MetaWatcher, WatchPolicy
-                    policy = WatchPolicy(**watch) \
-                        if isinstance(watch, dict) else WatchPolicy()
-                    service.attach_watcher(MetaWatcher(policy))
-                return {"ok": True, "op": "canary",
-                        "fingerprint": controller.fingerprint,
-                        "fraction": controller.fraction,
-                        "gates": controller.gates.to_dict()}
-            if op == "canary_status":
-                service = self._service_for(message)
-                controller = service.canary
-                if controller is None:
-                    raise ValueError("no canary is attached")
-                return {"ok": True, "op": "canary_status",
-                        "report": controller.evaluate().to_dict()}
-            if op == "canary_stop":
-                service = self._service_for(message)
-                controller = service.stop_canary()
-                return {"ok": True, "op": "canary_stop",
-                        "report": controller.evaluate().to_dict()}
-            if op == "promote":
-                service = self._service_for(message)
-                result = await service.promote(
-                    force=bool(message.get("force", False)))
-                if result["promoted"]:
-                    self._note_swap(service)
-                return dict(result, ok=True, op="promote")
-            if op == "rollback":
-                service = self._service_for(message)
-                result = await service.rollback(
-                    reason=str(message.get("reason", "manual")))
-                self._note_swap(service)
-                return dict(result, ok=True, op="rollback")
-            if op == "shutdown":
-                if not self.allow_shutdown:
-                    raise ValueError("shutdown is disabled on this server")
-                self.request_stop()
-                return {"ok": True, "op": "shutdown"}
-            raise ValueError(f"unknown op {op!r}")
+            _check_op(self, op, message)
+            body = await getattr(self, "_op_" + op.name)(message, owned)
+            return {"ok": True, "op": op.name, **body}
         except (ValueError, TypeError, KeyError, RuntimeError) as error:
             # TypeError covers malformed client payloads (e.g. a string
             # max_samples) -- one error reply, never a dropped connection.
-            return {"ok": False, "op": op if isinstance(op, str) else None,
-                    "error": str(error)}
+            return _error_reply(message, error)
+
+    # -- one handler per row of wire.OPS ------------------------------------ #
+    async def _op_ping(self, message: Message, owned: _Owned):
+        return {}
+
+    async def _op_stats(self, message: Message, owned: _Owned):
+        return _stats_payload(self._merged_stats())
+
+    async def _op_snapshot(self, message: Message, owned: _Owned):
+        return {"snapshot": self._snapshot()}
+
+    async def _op_metrics(self, message: Message, owned: _Owned):
+        return {"text": self._metrics_text()}
+
+    async def _op_trace(self, message: Message, owned: _Owned):
+        return {"trace": self.service.trace_export()}
+
+    async def _op_shutdown(self, message: Message, owned: _Owned):
+        self.request_stop()
+        return {}
+
+    async def _op_open(self, message: Message, owned: _Owned):
+        stream_id = _required_stream(message)
+        service = self._service_for(message)
+        session = await service.open_session(
+            stream_id, max_samples=message.get("max_samples"))
+        self._register_stream(stream_id, message)
+        owned[stream_id] = True
+        threshold = session.threshold
+        return {"stream": stream_id, "window": service.detector.window,
+                "incremental": session.incremental_active,
+                "threshold": None if threshold is None
+                else threshold.threshold}
+
+    async def _op_push(self, message: Message, owned: _Owned):
+        stream_id = _required_stream(message)
+        block = _push_block(message)
+        service = self._session_service(stream_id)
+        if service is None:
+            service = self._service_for(message)  # auto-open path
+            self._register_stream(stream_id, message)
+            owned[stream_id] = True
+        for row in block:
+            await service.push(stream_id, row)
+        return {"accepted": int(block.shape[0])}
+
+    def _live_service(self, message: Message):
+        """``(stream id, its service)`` for an op on an open stream."""
+        stream_id = _required_stream(message)
+        service = self._session_service(stream_id)
+        if service is None:
+            raise ValueError(f"unknown stream {stream_id!r}")
+        return stream_id, service
+
+    async def _op_close(self, message: Message, owned: _Owned):
+        stream_id, service = self._live_service(message)
+        session = await service.close_session(stream_id)
+        self._forget_stream(stream_id)
+        if stream_id in owned:
+            owned[stream_id] = False
+        return {"stream": stream_id,
+                "samples_pushed": session.samples_pushed,
+                "samples_scored": session.samples_scored,
+                "samples_dropped": session.samples_dropped,
+                "adaptation_events": len(session.adaptation_events)}
+
+    async def _op_export_session(self, message: Message,
+                                 owned: _Owned):
+        stream_id, service = self._live_service(message)
+        tenant = self._tenant_for_stream(stream_id)
+        blob = await service.export_session(stream_id)
+        self._forget_stream(stream_id)
+        if stream_id in owned:
+            owned[stream_id] = False
+        return {"stream": stream_id, "tenant": tenant,
+                "state": base64.b64encode(blob).decode("ascii")}
+
+    async def _op_import_session(self, message: Message,
+                                 owned: _Owned):
+        service = self._service_for(message)
+        state = message.get("state")
+        if not isinstance(state, str) or not state:
+            raise ValueError("import_session needs a 'state' string")
+        session = await service.import_session(
+            base64.b64decode(state.encode("ascii")))
+        self._register_stream(session.stream_id, message)
+        owned[session.stream_id] = True
+        return {"stream": session.stream_id}
+
+    async def _op_canary(self, message: Message, owned: _Owned):
+        service = self._service_for(message)
+        controller = _build_canary(message)
+        service.attach_canary(controller)
+        watch = message.get("watch")
+        if watch is not None and watch is not False:
+            from ..lifecycle import MetaWatcher, WatchPolicy
+            policy = WatchPolicy(**watch) \
+                if isinstance(watch, dict) else WatchPolicy()
+            service.attach_watcher(MetaWatcher(policy))
+        return {"fingerprint": controller.fingerprint,
+                "fraction": controller.fraction,
+                "gates": controller.gates.to_dict()}
+
+    async def _op_canary_status(self, message: Message,
+                                owned: _Owned):
+        controller = self._service_for(message).canary
+        if controller is None:
+            raise ValueError("no canary is attached")
+        return {"report": controller.evaluate().to_dict()}
+
+    async def _op_canary_stop(self, message: Message, owned: _Owned):
+        controller = self._service_for(message).stop_canary()
+        return {"report": controller.evaluate().to_dict()}
+
+    async def _op_promote(self, message: Message, owned: _Owned):
+        service = self._service_for(message)
+        result = await service.promote(force=bool(message.get("force", False)))
+        if result["promoted"]:
+            self._note_swap(service)
+        return result
+
+    async def _op_rollback(self, message: Message, owned: _Owned):
+        service = self._service_for(message)
+        result = await service.rollback(
+            reason=str(message.get("reason", "manual")))
+        self._note_swap(service)
+        return result
 
 
 class AnomalyTCPServer(AnomalyWireServer):
@@ -757,7 +712,7 @@ class AnomalyTCPServer(AnomalyWireServer):
         self.port = port
 
 
-def _build_canary(message: Dict[str, Any]):
+def _build_canary(message: Message):
     """Build a CanaryController from a ``canary`` op's JSON payload.
 
     The candidate artifact (and its golden baseline sidecar) is loaded
@@ -782,14 +737,14 @@ def _build_canary(message: Dict[str, Any]):
         fingerprint=artifact_fingerprint(artifact))
 
 
-def _required_stream(message: Dict[str, Any]) -> str:
+def _required_stream(message: Message) -> str:
     stream = message.get("stream")
     if not isinstance(stream, str) or not stream:
         raise ValueError(f"op {message['op']!r} needs a 'stream' string")
     return stream
 
 
-def _push_block(message: Dict[str, Any]) -> np.ndarray:
+def _push_block(message: Message) -> np.ndarray:
     """Normalise a push payload to a ``(n_samples, n_channels)`` block.
 
     JSON pushes carry one sample as a flat ``values`` list; binary pushes
@@ -805,22 +760,12 @@ def _push_block(message: Dict[str, Any]) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)[None, :]
 
 
-def _json_float(value: float) -> Optional[float]:
-    """NaN is not valid JSON; report it as null."""
-    return float(value) if np.isfinite(value) else None
-
-
-def _stats_payload(stats) -> Dict[str, Any]:
-    """The JSON body of a ``stats`` reply for a (possibly merged) stats."""
-    return {
-        "live_sessions": stats.live_sessions,
-        "samples_pushed": stats.samples_pushed,
-        "samples_scored": stats.samples_scored,
-        "samples_dropped": stats.samples_dropped,
-        "flushes": stats.flushes,
-        "mean_batch_size": stats.mean_batch_size,
-        "queue_delay_p99_s": _json_float(stats.queue_delay_p99_s),
-    }
+def _stats_payload(stats) -> Message:
+    """A ``stats`` reply read off a (possibly merged) ``ServiceStats``: the
+    STATS_ACK row names the attributes and reports a NaN p99 as null."""
+    return wire.to_message(wire.StatsAck(*(
+        getattr(stats, field.name)
+        for field in dataclasses.fields(wire.StatsAck))))
 
 
 # --------------------------------------------------------------------------- #
@@ -854,10 +799,10 @@ class _ClientCore:
                 f"{timeout_s}s"
             ) from error
         #: alarm event payloads received so far (dicts, in arrival order)
-        self.alarms: List[Dict[str, Any]] = []
+        self.alarms: List[Message] = []
 
     # -- plumbing ----------------------------------------------------------- #
-    def request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+    def request(self, payload: Message) -> Message:
         """Send one request; absorb events until its reply arrives."""
         self._send(payload)
         while True:
@@ -876,38 +821,37 @@ class _ClientCore:
                 continue
             return message
 
-    def _send(self, payload: Dict[str, Any]) -> None:
+    def _send(self, payload: Message) -> None:
         raise NotImplementedError
 
-    def _read_message(self) -> Optional[Dict[str, Any]]:
+    def _read_message(self) -> Optional[Message]:
         raise NotImplementedError
 
-    def _checked(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+    def _call(self, op: str, **fields: Any) -> Message:
+        """One checked round trip; ``None`` fields are left out of the
+        request (optional keys are omitted, never sent as null)."""
+        payload: Message = {"op": op}
+        payload.update((key, value) for key, value in fields.items()
+                       if value is not None)
         reply = self.request(payload)
         if not reply.get("ok"):
             raise RuntimeError(
-                f"server rejected {payload.get('op')!r}: {reply.get('error')}"
-            )
+                f"server rejected {op!r}: {reply.get('error')}")
         return reply
 
     # -- the protocol, one method per op ------------------------------------ #
-    def ping(self) -> Dict[str, Any]:
-        return self._checked({"op": "ping"})
+    def ping(self) -> Message:
+        return self._call("ping")
 
     def open(self, stream_id: str, max_samples: Optional[int] = None,
-             tenant: Optional[str] = None) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"op": "open", "stream": stream_id}
-        if max_samples is not None:
-            payload["max_samples"] = max_samples
-        if tenant is not None:
-            payload["tenant"] = tenant
-        return self._checked(payload)
+             tenant: Optional[str] = None) -> Message:
+        return self._call("open", stream=stream_id, max_samples=max_samples,
+                          tenant=tenant)
 
-    def push(self, stream_id: str, values) -> Dict[str, Any]:
-        return self._checked({
-            "op": "push", "stream": stream_id,
-            "values": [float(v) for v in np.asarray(values).ravel()],
-        })
+    def push(self, stream_id: str, values) -> Message:
+        return self._call(
+            "push", stream=stream_id,
+            values=[float(v) for v in np.asarray(values).ravel()])
 
     def push_stream(self, stream_id: str, stream) -> int:
         """Push a whole ``(T, channels)`` recording; returns rows pushed."""
@@ -916,17 +860,17 @@ class _ClientCore:
             self.push(stream_id, row)
         return int(stream.shape[0])
 
-    def close_stream(self, stream_id: str) -> Dict[str, Any]:
-        return self._checked({"op": "close", "stream": stream_id})
+    def close_stream(self, stream_id: str) -> Message:
+        return self._call("close", stream=stream_id)
 
-    def stats(self) -> Dict[str, Any]:
-        return self._checked({"op": "stats"})
+    def stats(self) -> Message:
+        return self._call("stats")
 
     def snapshot(self) -> Dict[str, Any]:
         """Fetch the server's machine-readable state (per-service stats)."""
-        return self._checked({"op": "snapshot"})["snapshot"]
+        return self._call("snapshot")["snapshot"]
 
-    def export_session(self, stream_id: str) -> Dict[str, Any]:
+    def export_session(self, stream_id: str) -> Message:
         """Drain and export a live session as an opaque handoff blob.
 
         Only honoured by servers started with ``allow_handoff=True``
@@ -934,15 +878,11 @@ class _ClientCore:
         stream id, its tenant key, and a base64 ``state`` string to feed
         to :meth:`import_session` on another worker.
         """
-        return self._checked({"op": "export_session", "stream": stream_id})
+        return self._call("export_session", stream=stream_id)
 
-    def import_session(self, tenant: Optional[str],
-                       state: str) -> Dict[str, Any]:
+    def import_session(self, tenant: Optional[str], state: str) -> Message:
         """Re-home a previously exported session onto this server."""
-        payload: Dict[str, Any] = {"op": "import_session", "state": state}
-        if tenant is not None:
-            payload["tenant"] = tenant
-        return self._checked(payload)
+        return self._call("import_session", state=state, tenant=tenant)
 
     def metrics(self) -> str:
         """Scrape the server's Prometheus text exposition page.
@@ -951,7 +891,7 @@ class _ClientCore:
         ``ServiceConfig(observability=True)``; otherwise the server
         rejects the op and this raises ``RuntimeError``.
         """
-        return self._checked({"op": "metrics"})["text"]
+        return self._call("metrics")["text"]
 
     def trace(self) -> Dict[str, Any]:
         """Fetch the server's Chrome trace snapshot (as the parsed object).
@@ -960,61 +900,42 @@ class _ClientCore:
         https://ui.perfetto.dev.  Requires observability *and* tracing
         (``trace_events > 0``) on the served service.
         """
-        return self._checked({"op": "trace"})["trace"]
+        return self._call("trace")["trace"]
 
     def canary(self, artifact: str, *, fraction: float = 0.25,
                gates: Optional[Dict[str, Any]] = None,
                watch: Any = None,
-               tenant: Optional[str] = None) -> Dict[str, Any]:
+               tenant: Optional[str] = None) -> Message:
         """Attach a canary for the artifact at ``artifact`` (a server-side
         path); optionally attach a meta-watcher (``watch=True`` or a
         WatchPolicy mapping) to be armed by the eventual promotion."""
-        payload: Dict[str, Any] = {"op": "canary", "artifact": artifact,
-                                   "fraction": fraction}
-        if gates is not None:
-            payload["gates"] = gates
-        if watch is not None:
-            payload["watch"] = watch
-        if tenant is not None:
-            payload["tenant"] = tenant
-        return self._checked(payload)
+        return self._call("canary", artifact=artifact, fraction=fraction,
+                          gates=gates, watch=watch, tenant=tenant)
 
-    def canary_status(self, tenant: Optional[str] = None) -> Dict[str, Any]:
+    def canary_status(self, tenant: Optional[str] = None) -> Message:
         """Evaluate the attached canary; returns the report dict.
 
         Against a cluster router the reply is the fleet shape instead:
         ``{"verdict": ..., "workers": {name: report}}``."""
-        payload: Dict[str, Any] = {"op": "canary_status"}
-        if tenant is not None:
-            payload["tenant"] = tenant
-        reply = self._checked(payload)
+        reply = self._call("canary_status", tenant=tenant)
         return reply.get("report", reply)
 
-    def canary_stop(self, tenant: Optional[str] = None) -> Dict[str, Any]:
+    def canary_stop(self, tenant: Optional[str] = None) -> Message:
         """Detach the canary without promoting; returns its final report."""
-        payload: Dict[str, Any] = {"op": "canary_stop"}
-        if tenant is not None:
-            payload["tenant"] = tenant
-        return self._checked(payload)
+        return self._call("canary_stop", tenant=tenant)
 
     def promote(self, *, force: bool = False,
-                tenant: Optional[str] = None) -> Dict[str, Any]:
+                tenant: Optional[str] = None) -> Message:
         """Promote the attached canary's candidate (gated unless forced)."""
-        payload: Dict[str, Any] = {"op": "promote", "force": force}
-        if tenant is not None:
-            payload["tenant"] = tenant
-        return self._checked(payload)
+        return self._call("promote", force=force, tenant=tenant)
 
     def rollback(self, *, reason: str = "manual",
-                 tenant: Optional[str] = None) -> Dict[str, Any]:
+                 tenant: Optional[str] = None) -> Message:
         """Hot-swap back to the pinned previous artifact."""
-        payload: Dict[str, Any] = {"op": "rollback", "reason": reason}
-        if tenant is not None:
-            payload["tenant"] = tenant
-        return self._checked(payload)
+        return self._call("rollback", reason=reason, tenant=tenant)
 
-    def shutdown(self) -> Dict[str, Any]:
-        return self._checked({"op": "shutdown"})
+    def shutdown(self) -> Message:
+        return self._call("shutdown")
 
     def close(self) -> None:
         self._socket.close()
@@ -1044,11 +965,11 @@ class TCPClient(_ClientCore):
         super().__init__(host, port, timeout_s, uds_path=uds_path)
         self._file = self._socket.makefile("rwb")
 
-    def _send(self, payload: Dict[str, Any]) -> None:
+    def _send(self, payload: Message) -> None:
         self._file.write(_json_line(payload))
         self._file.flush()
 
-    def _read_message(self) -> Optional[Dict[str, Any]]:
+    def _read_message(self) -> Optional[Message]:
         line = self._file.readline()
         if not line:
             return None
@@ -1088,45 +1009,11 @@ class BinaryClient(_ClientCore):
         self._frames: List[wire.Frame] = []
 
     # -- framing ------------------------------------------------------------ #
-    def _send(self, payload: Dict[str, Any]) -> None:
-        self._socket.sendall(wire.encode(self._to_frame(payload)))
+    def _send(self, payload: Message) -> None:
+        self._socket.sendall(
+            wire.encode(wire.from_message(payload, "request")))
 
-    @staticmethod
-    def _to_frame(payload: Dict[str, Any]) -> wire.Frame:
-        op = payload["op"]
-        if op == "open":
-            return wire.Open(payload["stream"], payload.get("max_samples"),
-                             payload.get("tenant"))
-        if op == "push":
-            return wire.Push(payload["stream"], payload["values"])
-        if op == "close":
-            return wire.Close(payload["stream"])
-        if op == "stats":
-            return wire.Stats()
-        if op == "snapshot":
-            return wire.Snapshot()
-        if op == "export_session":
-            return wire.ExportSession(payload["stream"])
-        if op == "import_session":
-            # The wire frame always carries a tenant key; a single-artifact
-            # server answers to the implicit "default" tenant.
-            return wire.ImportSession(payload.get("tenant") or "default",
-                                      payload["state"])
-        if op == "ping":
-            return wire.Ping()
-        if op == "metrics":
-            return wire.Metrics()
-        if op == "trace":
-            return wire.Trace()
-        if op == "shutdown":
-            return wire.Shutdown()
-        if op in ("canary", "canary_status", "canary_stop",
-                  "promote", "rollback"):
-            raise ValueError(
-                f"lifecycle op {op!r} is JSON-only; use the JSON protocol")
-        raise ValueError(f"unknown op {op!r}")
-
-    def _read_message(self) -> Optional[Dict[str, Any]]:
+    def _read_message(self) -> Optional[Message]:
         while not self._frames:
             self._frames.extend(self._decoder.frames())
             if self._frames:
@@ -1135,74 +1022,19 @@ class BinaryClient(_ClientCore):
             if not chunk:
                 return None
             self._decoder.feed(chunk)
-        return self._from_frame(self._frames.pop(0))
-
-    @staticmethod
-    def _from_frame(frame: wire.Frame) -> Dict[str, Any]:
-        """Normalise a reply/event frame to its JSON-protocol dict shape."""
-        if isinstance(frame, wire.AlarmEvent):
-            event = {"event": "alarm", "stream": frame.stream,
-                     "index": frame.index, "score": frame.score,
-                     "threshold": frame.threshold}
-            if frame.fingerprint is not None:
-                event["fingerprint"] = frame.fingerprint
-            return event
-        if isinstance(frame, wire.OpenAck):
-            return {"ok": True, "op": "open", "stream": frame.stream,
-                    "window": frame.window, "incremental": frame.incremental,
-                    "threshold": frame.threshold}
-        if isinstance(frame, wire.PushAck):
-            return {"ok": True, "op": "push", "accepted": frame.accepted}
-        if isinstance(frame, wire.CloseAck):
-            return {"ok": True, "op": "close", "stream": frame.stream,
-                    "samples_pushed": frame.samples_pushed,
-                    "samples_scored": frame.samples_scored,
-                    "samples_dropped": frame.samples_dropped,
-                    "adaptation_events": frame.adaptation_events}
-        if isinstance(frame, wire.StatsAck):
-            p99 = frame.queue_delay_p99_s
-            return {"ok": True, "op": "stats",
-                    "live_sessions": frame.live_sessions,
-                    "samples_pushed": frame.samples_pushed,
-                    "samples_scored": frame.samples_scored,
-                    "samples_dropped": frame.samples_dropped,
-                    "flushes": frame.flushes,
-                    "mean_batch_size": frame.mean_batch_size,
-                    "queue_delay_p99_s": None if np.isnan(p99) else p99}
-        if isinstance(frame, wire.SnapshotAck):
-            return {"ok": True, "op": "snapshot",
-                    "snapshot": json.loads(frame.json_text)}
-        if isinstance(frame, wire.ExportSessionAck):
-            return {"ok": True, "op": "export_session",
-                    "stream": frame.stream, "tenant": frame.tenant,
-                    "state": frame.state}
-        if isinstance(frame, wire.ImportSessionAck):
-            return {"ok": True, "op": "import_session",
-                    "stream": frame.stream}
-        if isinstance(frame, wire.PingAck):
-            return {"ok": True, "op": "ping"}
-        if isinstance(frame, wire.ShutdownAck):
-            return {"ok": True, "op": "shutdown"}
-        if isinstance(frame, wire.MetricsAck):
-            return {"ok": True, "op": "metrics", "text": frame.text}
-        if isinstance(frame, wire.TraceAck):
-            return {"ok": True, "op": "trace",
-                    "trace": json.loads(frame.json_text)}
-        if isinstance(frame, wire.ErrorReply):
-            return {"ok": False,
-                    "op": _OP_NAMES.get(frame.request_op),
-                    "error": frame.message}
-        raise ConnectionError(
-            f"unexpected frame op 0x{frame.op:02X} from the server")
+        frame = self._frames.pop(0)
+        if frame.role != "reply":
+            raise ConnectionError(
+                f"unexpected frame op 0x{frame.op:02X} from the server")
+        return wire.to_message(frame)
 
     # -- ops whose wire shape differs from JSON ----------------------------- #
-    def push(self, stream_id: str, values) -> Dict[str, Any]:
+    def push(self, stream_id: str, values) -> Message:
         """Push one sample (or a ready-made ``(n, channels)`` block)."""
         block = np.asarray(values, dtype=np.float64)
         if block.ndim == 1:
             block = block[None, :]
-        return self._checked({"op": "push", "stream": stream_id,
-                              "values": block})
+        return self._call("push", stream=stream_id, values=block)
 
     def push_stream(self, stream_id: str, stream) -> int:
         """Push a whole recording, ``chunk`` samples per binary frame."""
@@ -1212,3 +1044,8 @@ class BinaryClient(_ClientCore):
         for start in range(0, stream.shape[0], self.chunk):
             self.push(stream_id, stream[start:start + self.chunk])
         return int(stream.shape[0])
+
+    def import_session(self, tenant: Optional[str], state: str) -> Message:
+        # The wire frame always carries a tenant key; a single-artifact
+        # server answers to the implicit "default" tenant.
+        return super().import_session(tenant or "default", state)

@@ -9,8 +9,8 @@ import pytest
 from repro.cluster import ClusterHarness, WorkerConfig
 from repro.pipeline import Pipeline
 from repro.serialize import artifact_fingerprint
-from repro.serve import (AnomalyTCPServer, BinaryClient, ServiceConfig,
-                         TCPClient)
+from repro.serve import (PROTOCOLS, AnomalyTCPServer, BinaryClient,
+                         ServiceConfig, TCPClient)
 from repro.serve import wire
 
 from lifecycle_helpers import make_stream
@@ -55,10 +55,11 @@ class LifecycleServer:
     see exactly what ``repro serve`` would give them.
     """
 
-    def __init__(self, artifact):
+    def __init__(self, artifact, protocols=PROTOCOLS):
         self.service = Pipeline.load(artifact).deploy_service(
             config=ServiceConfig(max_batch=8, max_delay_ms=1.0))
-        self.server = AnomalyTCPServer(self.service, port=0)
+        self.server = AnomalyTCPServer(self.service, port=0,
+                                       protocols=protocols)
         self._ready = threading.Event()
         self.port = None
         self.thread = threading.Thread(target=self._run, daemon=True)
@@ -82,7 +83,8 @@ class LifecycleServer:
     def __exit__(self, *exc_info):
         if self.thread.is_alive():
             try:
-                with TCPClient(port=self.port, timeout_s=5.0) as client:
+                # Binary: the one protocol every server in this suite takes.
+                with BinaryClient(port=self.port, timeout_s=5.0) as client:
                     client.shutdown()
             except (OSError, RuntimeError):
                 pass
@@ -99,13 +101,18 @@ def push_baseline_traffic(client):
         client.close_stream(stream)
 
 
+both_clients = pytest.mark.parametrize(
+    "client_cls", [TCPClient, BinaryClient], ids=["json", "binary"])
+
+
 class TestServerOps:
+    @both_clients
     def test_canary_promote_rollback_over_the_wire(self, artifact_a,
-                                                   artifact_b):
+                                                   artifact_b, client_cls):
         fp_a = artifact_fingerprint(artifact_a)
         fp_b = artifact_fingerprint(artifact_b)
         with LifecycleServer(artifact_a) as server:
-            with TCPClient(port=server.port) as client:
+            with client_cls(port=server.port) as client:
                 attached = client.canary(str(artifact_b), fraction=1.0,
                                          gates=GATES)
                 assert attached["fingerprint"] == fp_b
@@ -123,11 +130,13 @@ class TestServerOps:
                 assert rolled["rolled_back"]
                 assert rolled["fingerprint"] == fp_a
 
+    @both_clients
     def test_gated_promote_refuses_an_undecided_canary(self, artifact_a,
-                                                       artifact_b):
+                                                       artifact_b,
+                                                       client_cls):
         fp_a = artifact_fingerprint(artifact_a)
         with LifecycleServer(artifact_a) as server:
-            with TCPClient(port=server.port) as client:
+            with client_cls(port=server.port) as client:
                 client.canary(str(artifact_b), fraction=1.0,
                               gates={"min_samples": 100_000})
                 push_baseline_traffic(client)
@@ -141,9 +150,11 @@ class TestServerOps:
                 with pytest.raises(RuntimeError, match="no canary"):
                     client.canary_stop()
 
-    def test_canary_stop_detaches_and_reports(self, artifact_a, artifact_b):
+    @both_clients
+    def test_canary_stop_detaches_and_reports(self, artifact_a, artifact_b,
+                                              client_cls):
         with LifecycleServer(artifact_a) as server:
-            with TCPClient(port=server.port) as client:
+            with client_cls(port=server.port) as client:
                 client.canary(str(artifact_b), fraction=1.0, gates=GATES)
                 push_baseline_traffic(client)
                 stopped = client.canary_stop()
@@ -151,9 +162,11 @@ class TestServerOps:
                 with pytest.raises(RuntimeError, match="no canary"):
                     client.canary_status()
 
-    def test_lifecycle_ops_without_a_canary_error(self, artifact_a):
+    @both_clients
+    def test_lifecycle_ops_without_a_canary_error(self, artifact_a,
+                                                  client_cls):
         with LifecycleServer(artifact_a) as server:
-            with TCPClient(port=server.port) as client:
+            with client_cls(port=server.port) as client:
                 with pytest.raises(RuntimeError, match="no canary"):
                     client.promote()
                 with pytest.raises(RuntimeError, match="no pinned"):
@@ -161,13 +174,21 @@ class TestServerOps:
                 with pytest.raises(RuntimeError, match="no such file|no golden|does not exist|artifact"):
                     client.canary("/nonexistent/artifact")
 
-    def test_binary_client_refuses_lifecycle_ops(self, artifact_a,
-                                                 artifact_b):
-        with LifecycleServer(artifact_a) as server:
+    def test_a_binary_only_listener_can_be_canaried(self, artifact_a,
+                                                    artifact_b):
+        """The production ingest socket (``--protocol binary``) takes the
+        whole lifecycle: attach, judge, force-promote, roll back."""
+        fp_a = artifact_fingerprint(artifact_a)
+        fp_b = artifact_fingerprint(artifact_b)
+        with LifecycleServer(artifact_a, protocols=("binary",)) as server:
             with BinaryClient(port=server.port) as client:
-                assert client.ping()["ok"]
-                with pytest.raises(ValueError, match="JSON-only"):
-                    client.promote()
+                attached = client.canary(str(artifact_b), fraction=1.0,
+                                         gates=GATES, watch=True)
+                assert attached["fingerprint"] == fp_b
+                assert client.canary_status()["verdict"] == "undecided"
+                assert not client.promote()["promoted"]
+                assert client.promote(force=True)["fingerprint"] == fp_b
+                assert client.rollback()["fingerprint"] == fp_a
 
     def test_wire_alarms_carry_the_fingerprint(self, artifact_a):
         fp_a = artifact_fingerprint(artifact_a)
@@ -223,6 +244,26 @@ class TestClusterLifecycle:
                 rolled = client.rollback(reason="test")
                 assert rolled["ok"]
                 assert set(rolled["workers"]) == {"w0", "w1"}
+
+    def test_fleet_canary_status_for_a_binary_client(self, artifact_a,
+                                                     artifact_b):
+        """Only the client leg changes codec: the router still fans out
+        over its JSON trunks and answers in the fleet shape."""
+        configs = [WorkerConfig(name=f"w{i}",
+                                artifacts={"default": artifact_a})
+                   for i in range(2)]
+        with ClusterHarness(configs) as cluster:
+            with BinaryClient(port=cluster.port) as client:
+                with pytest.raises(RuntimeError, match="no canary"):
+                    client.canary_status()
+                attached = client.canary(str(artifact_b), fraction=1.0,
+                                         gates=GATES)
+                assert set(attached["workers"]) == {"w0", "w1"}
+                status = client.canary_status()
+                assert status["verdict"] == "undecided"
+                assert set(status["workers"]) == {"w0", "w1"}
+                stopped = client.canary_stop()
+                assert set(stopped["workers"]) == {"w0", "w1"}
 
     def test_fleet_canary_is_all_or_nothing(self, artifact_a, artifact_b):
         """A second canary attach fails fleet-wide: the first worker's

@@ -333,6 +333,35 @@ class TestWireOps:
                 assert trace["otherData"]["capacity"] == \
                     OBS_CONFIG.trace_events
 
+    def test_request_labels_come_from_the_op_table(self, detectors,
+                                                   client_cls):
+        """Every op the table knows is counted under its own name (the
+        lifecycle ops used to scrape as ``unknown``); only names -- or
+        non-string values -- that are not in it count as ``unknown``."""
+        protocol = "json" if client_cls is TCPClient else "binary"
+        with _ObsServerThread(detectors["VARADE"]) as server:
+            with client_cls(port=server.port, timeout_s=10.0) as client:
+                for op in ("promote", "canary_status"):
+                    reply = client.request({"op": op})
+                    assert reply == {"ok": False, "op": op,
+                                     "error": reply["error"]}
+                unknown = 0
+                if client_cls is TCPClient:
+                    for op in ("bogus", ["not", "a", "name"], {}):
+                        reply = client.request({"op": op})
+                        assert not reply["ok"]
+                        assert "unknown op" in reply["error"]
+                        unknown += 1
+                else:       # no frame can carry an op the table lacks
+                    with pytest.raises(ValueError, match="unknown op"):
+                        client.request({"op": "bogus"})
+                values = parse_page(client.metrics())
+        series = 'repro_wire_requests_total{{protocol="%s",op="{}"}}' \
+            % protocol
+        assert values[series.format("promote")] == 1
+        assert values[series.format("canary_status")] == 1
+        assert values.get(series.format("unknown"), 0) == unknown
+
     def test_ops_rejected_when_disabled(self, detectors, client_cls):
         config = ServiceConfig(max_batch=8, max_delay_ms=2.0)
         with _ObsServerThread(detectors["VARADE"], config=config) as server:

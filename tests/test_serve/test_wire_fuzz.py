@@ -201,6 +201,8 @@ def test_fatal_framing_corruption_closes_cleanly(fuzz_server, payload):
     wire.PushAck(accepted=3),
     wire.AlarmEvent("spoof", 7, 9.9, threshold=None),
     wire.ErrorReply(0, "client thinks it is a server"),
+    wire.PromoteAck('{"promoted":true}'),
+    wire.CanaryStatusAck("not json"),   # never parsed: rejected by role
 ], ids=lambda frame: type(frame).__name__)
 def test_reply_ops_from_client_get_error_but_connection_survives(
         fuzz_server, frame):
@@ -222,7 +224,12 @@ def test_reply_ops_from_client_get_error_but_connection_survives(
     (wire.Push("empty", np.empty((0, N_CHANNELS), dtype=np.float32)),
      "non-empty"),
     (wire.Close("ghost-stream"), "ghost-stream"),
-], ids=["empty-batch-push", "close-of-never-opened-stream"])
+    # Lifecycle requests carry a JSON object; anything else is a bad body
+    # in a well-framed request -- the framing is still synchronised.
+    (wire.Promote("not json"), "not valid JSON"),
+    (wire.Canary("[1, 2]"), "must be a JSON object"),
+], ids=["empty-batch-push", "close-of-never-opened-stream",
+        "lifecycle-body-not-json", "lifecycle-body-not-an-object"])
 def test_semantic_errors_are_replies_not_disconnects(fuzz_server, frame,
                                                      expect):
     with RawBinary(fuzz_server.port) as conn:
@@ -230,6 +237,7 @@ def test_semantic_errors_are_replies_not_disconnects(fuzz_server, frame,
         reply = conn.recv_frame()
         assert isinstance(reply, wire.ErrorReply)
         assert expect in reply.message
+        assert reply.request_op == frame.op     # echoes the request op
         conn.send(wire.encode(wire.Ping()))
         assert isinstance(conn.recv_frame(), wire.PingAck)
     _assert_healthy(fuzz_server)
