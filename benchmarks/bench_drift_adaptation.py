@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro.data import DRIFT_KINDS, StreamReader, build_drift_scenario
-from repro.edge import MultiStreamRuntime, StreamingRuntime
+from repro.edge import StreamingRuntime
 from repro.eval import compare_adaptation
 from repro.pipeline import (AdaptationSpec, DeploymentSpec, DetectorSpec,
                             Pipeline)
@@ -41,13 +41,17 @@ FROZEN_CEILING = 0.30
 DELAY_BUDGET = 400       # samples from drift onset to the answering recalibration
 
 
-def _fitted_pipeline(scenario):
-    """Fit + calibrate the kNN deployment through the declarative pipeline."""
+def _fitted_pipeline(scenario, adaptation=AdaptationSpec()):
+    """Fit + calibrate the kNN deployment through the declarative pipeline.
+
+    ``AdaptationSpec()`` carries the ``AdaptationPolicy()`` defaults; ``None``
+    is the same (deterministic) fit with the threshold frozen.
+    """
     spec = DeploymentSpec(
         detector=DetectorSpec(kind="knn",
                               params={"n_channels": scenario.n_channels,
                                       "max_reference_points": 800}),
-        adaptation=AdaptationSpec(),      # AdaptationPolicy() defaults
+        adaptation=adaptation,
         seed=0,
     )
     return Pipeline.from_spec(spec).fit(scenario.train).calibrate()
@@ -140,9 +144,8 @@ def test_no_drift_streams_bit_identical():
     assert np.array_equal(plain.scores, adaptive.scores, equal_nan=True)
     assert np.array_equal(plain.alarms, adaptive.alarms)
 
-    fleet_plain = MultiStreamRuntime(detector).run(
-        [StreamReader(clean, labels), StreamReader(clean, labels)]
-    )
+    fleet_plain = _fitted_pipeline(scenario, adaptation=None).deploy_fleet(
+        [clean, clean], labels=[labels, labels])
     fleet_adaptive = pipeline.deploy_fleet([clean, clean], labels=[labels, labels])
     for plain_stream, adaptive_stream in zip(fleet_plain, fleet_adaptive):
         assert adaptive_stream.adaptation_events == []

@@ -1,7 +1,7 @@
 """Experiment F1 -- fleet serving throughput: samples/sec vs stream count.
 
-Compares the batched :class:`repro.edge.MultiStreamRuntime` against running
-the sequential :class:`repro.edge.StreamingRuntime` once per stream, for a
+Compares the batched :meth:`repro.pipeline.Pipeline.deploy_fleet` replay against
+running the sequential :class:`repro.edge.StreamingRuntime` once per stream, for a
 growing number of concurrent streams.  On small edge-sized models the
 per-call overhead (Python dispatch, buffer staging) dominates the
 arithmetic, so batching one window per stream into a single
@@ -17,18 +17,16 @@ import time
 import pytest
 
 from repro.data import StreamReader
-from repro.edge import MultiStreamRuntime, StreamingRuntime
+from repro.edge import StreamingRuntime
 
 STREAM_COUNTS = (1, 2, 4, 8, 16)
 STREAM_SAMPLES = 400
 TIMING_REPEATS = 3
 
 
-def _make_readers(fleet_stream_factory, n_streams):
-    return [
-        StreamReader(fleet_stream_factory(STREAM_SAMPLES, seed=100 + index))
-        for index in range(n_streams)
-    ]
+def _make_streams(fleet_stream_factory, n_streams):
+    return [fleet_stream_factory(STREAM_SAMPLES, seed=100 + index)
+            for index in range(n_streams)]
 
 
 def _best_of(repeats, run):
@@ -42,12 +40,13 @@ def _best_of(repeats, run):
     return best, result
 
 
-def test_fleet_throughput_scaling(benchmark, fleet_varade, fleet_stream_factory):
-    detector = fleet_varade
+def test_fleet_throughput_scaling(benchmark, fleet_pipeline, fleet_stream_factory):
+    detector = fleet_pipeline.detector
     rows = []
     speedups = {}
     for n_streams in STREAM_COUNTS:
-        readers = _make_readers(fleet_stream_factory, n_streams)
+        streams = _make_streams(fleet_stream_factory, n_streams)
+        readers = [StreamReader(stream) for stream in streams]
 
         def run_sequential():
             # Pin the incremental lane off: this benchmark isolates what
@@ -57,7 +56,7 @@ def test_fleet_throughput_scaling(benchmark, fleet_varade, fleet_stream_factory)
                     for reader in readers]
 
         def run_fleet():
-            return MultiStreamRuntime(detector).run(readers)
+            return fleet_pipeline.deploy_fleet(streams)
 
         seq_time, seq_results = _best_of(TIMING_REPEATS, run_sequential)
         fleet_time, fleet_result = _best_of(TIMING_REPEATS, run_fleet)
@@ -80,8 +79,8 @@ def test_fleet_throughput_scaling(benchmark, fleet_varade, fleet_stream_factory)
               f"{speedup:>7.2f}x {mean_batch:>11.2f}")
 
     # Record the batched engine at the acceptance operating point.
-    readers_8 = _make_readers(fleet_stream_factory, 8)
-    benchmark(lambda: MultiStreamRuntime(detector).run(readers_8))
+    streams_8 = _make_streams(fleet_stream_factory, 8)
+    benchmark(lambda: fleet_pipeline.deploy_fleet(streams_8))
 
     # Acceptance: >= 3x the sequential per-stream throughput at 8 streams.
     assert speedups[8] >= 3.0, f"8-stream fleet speedup only {speedups[8]:.2f}x"
@@ -91,13 +90,12 @@ def test_fleet_throughput_scaling(benchmark, fleet_varade, fleet_stream_factory)
 
 
 @pytest.mark.slow
-def test_fleet_throughput_wide(fleet_varade, fleet_stream_factory):
+def test_fleet_throughput_wide(fleet_pipeline, fleet_stream_factory):
     """Wider sweep (up to 64 streams) for the scaling curve; slow tier only."""
-    detector = fleet_varade
     previous_sps = 0.0
     for n_streams in (16, 32, 64):
-        readers = _make_readers(fleet_stream_factory, n_streams)
-        fleet_time, result = _best_of(2, lambda: MultiStreamRuntime(detector).run(readers))
+        streams = _make_streams(fleet_stream_factory, n_streams)
+        fleet_time, result = _best_of(2, lambda: fleet_pipeline.deploy_fleet(streams))
         sps = result.stats.samples_scored / fleet_time
         print(f"{n_streams} streams: {sps:,.0f} samples/sec")
         assert sps > 0.5 * previous_sps  # throughput must not collapse

@@ -86,8 +86,8 @@ def fleet_stream_factory():
 
 
 @pytest.fixture(scope="session")
-def fleet_varade(fleet_stream_factory):
-    """A small trained VARADE detector shared by the fleet benchmarks."""
+def fleet_pipeline(fleet_stream_factory):
+    """A small trained VARADE deployment shared by the fleet benchmarks."""
     spec = DeploymentSpec(
         detector=DetectorSpec(
             kind="varade",
@@ -98,4 +98,10 @@ def fleet_varade(fleet_stream_factory):
         ),
         seed=0,
     )
-    return Pipeline.from_spec(spec).fit(fleet_stream_factory(500, seed=0)).detector
+    return Pipeline.from_spec(spec).fit(fleet_stream_factory(500, seed=0))
+
+
+@pytest.fixture(scope="session")
+def fleet_varade(fleet_pipeline):
+    """The fleet deployment's fitted VARADE detector."""
+    return fleet_pipeline.detector

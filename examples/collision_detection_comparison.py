@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import time
 
-from repro.baselines import DetectorRegistry
-from repro.baselines.registry import DETECTOR_NAMES
 from repro.data import DatasetConfig, build_benchmark_dataset
-from repro.eval import PAPER_AUC, evaluate_detector, format_comparison
+from repro.eval import (PAPER_AUC, evaluate_detector, format_comparison,
+                        study_specs)
 from repro.pipeline import Pipeline
 
 
@@ -30,7 +29,7 @@ def main() -> None:
     ))
     print(f"dataset: {dataset.summary()}\n")
 
-    registry = DetectorRegistry(
+    specs = study_specs(
         n_channels=dataset.n_channels,
         window=32,
         neural_epochs=4,
@@ -40,10 +39,9 @@ def main() -> None:
     )
 
     rows = []
-    # Each study entry becomes a declarative DeploymentSpec; the pipeline
-    # builds a bit-identical detector to the legacy registry constructor.
-    for name in DETECTOR_NAMES:
-        detector = Pipeline.from_spec(registry.deployment_spec(name)).build_detector()
+    # Each study entry is a declarative DeploymentSpec the pipeline builds.
+    for spec in specs.values():
+        detector = Pipeline.from_spec(spec).build_detector()
         start = time.perf_counter()
         evaluation = evaluate_detector(detector, dataset)
         rows.append(evaluation)

@@ -8,8 +8,11 @@
 #                                       after the tier-1 matrix has gated)
 #
 # Tier 1 is the full default pytest run (the bar every PR must keep green),
-# followed by the CLI/serve smokes and the docs leg (runnable docstring
-# examples via --doctest-modules, plus the Markdown link checker).
+# followed by the CLI/serve smokes, one short traced run of the bench/ harness
+# (its per-layer probes call MicroBatcher/ScoringSession directly, so a
+# constructor change breaks it before any test notices) and the docs leg
+# (runnable docstring examples via --doctest-modules, plus the Markdown link
+# checker).
 # The benchmark tier regenerates the paper's tables at reproduction scale
 # and takes a few minutes; the "slow" marker gates the long scaling sweeps.
 #
@@ -58,6 +61,11 @@ if [[ "$mode" != "--benchmarks-only" ]]; then
     echo "== lifecycle smoke: canary -> gated promote -> hot-swap -> watcher rollback =="
     python scripts/lifecycle_smoke.py >/dev/null
     echo "lifecycle smoke: OK"
+
+    echo
+    echo "== traced benchmark smoke: per-layer harness drives batcher/session directly =="
+    python3 bench/run.py --workload fleet_binary --quick --seconds 0.5 --trace 1 >/dev/null
+    echo "traced benchmark smoke: OK"
 
     echo
     echo "== docs: runnable docstring examples + Markdown links =="

@@ -40,9 +40,6 @@ from .eval import ExperimentConfig, run_full_experiment
 from . import serialize
 from .serialize import load_detector, save_detector
 from . import pipeline
-# DetectorSpec is deliberately not re-exported here: repro.pipeline.DetectorSpec
-# (registry kind + params) and repro.baselines.DetectorSpec (named constructor)
-# are distinct classes -- keep them module-qualified at call sites.
 from .pipeline import DeploymentSpec, Pipeline
 
 __all__ = [

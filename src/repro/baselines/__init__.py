@@ -7,7 +7,6 @@ from .autoencoder import AutoencoderConfig, AutoencoderDetector
 from .gbrf import GBRFConfig, GBRFDetector
 from .isolation_forest import IsolationForestConfig, IsolationForestDetector
 from .knn import KNNConfig, KNNDetector
-from .registry import DETECTOR_NAMES, DetectorRegistry, DetectorSpec
 
 __all__ = [
     "ARLSTMConfig",
@@ -20,7 +19,4 @@ __all__ = [
     "IsolationForestDetector",
     "KNNConfig",
     "KNNDetector",
-    "DETECTOR_NAMES",
-    "DetectorRegistry",
-    "DetectorSpec",
 ]

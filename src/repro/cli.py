@@ -43,6 +43,7 @@ from .pipeline import (CalibrationSpec, DataSpec, DeploymentSpec, DetectorSpec,
                        RuntimeSpec, ServiceSpec, SpecError)
 from .lifecycle import LifecycleError
 from .serialize import MANIFEST_NAME, SerializationError, artifact_fingerprint
+from .serve.batcher import BACKPRESSURE_POLICIES
 
 __all__ = ["main", "fast_spec"]
 
@@ -787,7 +788,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="per-session pending-window bound "
                             "(default: spec's, else 256)")
     serve.add_argument("--backpressure", default=None,
-                       choices=("block", "drop_oldest", "reject"),
+                       choices=BACKPRESSURE_POLICIES,
                        help="full-queue policy (default: spec's, else block)")
     serve.add_argument("--no-incremental", action="store_true",
                        help="disable the O(1)-per-sample incremental scoring "

@@ -20,11 +20,13 @@ with three cluster-specific traits:
 
 from __future__ import annotations
 
+import argparse
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Optional
 
+from ..serve.batcher import BACKPRESSURE_POLICIES
 from ..serve.service import AnomalyService
 from ..serve.tcp import PROTOCOLS, AnomalyWireServer
 from ..serve.transport import Transport
@@ -225,10 +227,8 @@ def _parse_artifact(text: str) -> tuple:
     return tenant, Path(path)
 
 
-def main(argv=None) -> int:
-    import argparse
-    import asyncio
-
+def argument_parser() -> argparse.ArgumentParser:
+    """The flags :meth:`WorkerSupervisor._command` spawns a worker with."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.cluster.worker",
         description="One shard of a repro serving cluster (supervised; "
@@ -249,10 +249,16 @@ def main(argv=None) -> int:
     parser.add_argument("--max-batch", type=int, default=None)
     parser.add_argument("--max-delay-ms", type=float, default=None)
     parser.add_argument("--max-queue", type=int, default=None)
-    parser.add_argument("--backpressure",
-                        choices=("block", "drop_oldest", "error"),
+    parser.add_argument("--backpressure", choices=BACKPRESSURE_POLICIES,
                         default=None)
     parser.add_argument("--no-incremental", action="store_true")
+    return parser
+
+
+def main(argv=None) -> int:
+    import asyncio
+
+    parser = argument_parser()
     args = parser.parse_args(argv)
 
     artifacts: Dict[str, Path] = {}

@@ -10,9 +10,9 @@ uniformly:
 * :meth:`AnomalyDetector.score_window` scores a single rolling context window
   (the streaming path used by the edge runtime);
 * :meth:`AnomalyDetector.score_windows_batch` scores a batch of rolling
-  windows in one call -- the multi-stream fleet path
-  (:class:`repro.edge.MultiStreamRuntime`) gathers one window per stream and
-  amortises the per-call overhead across the whole batch.  Overrides must
+  windows in one call -- the micro-batcher (:class:`repro.serve.MicroBatcher`)
+  gathers the windows pending across all streams and amortises the per-call
+  overhead across the whole batch.  Overrides must
   return exactly the scores the :meth:`score_window` loop would, row for row;
   the parity suite in ``tests/test_edge/test_fleet_parity.py`` enforces this;
 * :meth:`AnomalyDetector.inference_cost` reports the per-inference compute and
@@ -169,8 +169,8 @@ class AnomalyDetector(abc.ABC):
         ``(n, channels)``; the result is the ``(n,)`` array of scores that
         :meth:`score_window` would produce row by row.  The rows are
         independent -- they may come from different streams, which is exactly
-        how :class:`repro.edge.MultiStreamRuntime` amortises per-call
-        overhead across a fleet of streams.
+        how :class:`repro.serve.MicroBatcher` amortises per-call overhead
+        across a fleet of streams.
 
         The default implementation loops over :meth:`score_window`; every
         detector in the study overrides it with a vectorized version that is

@@ -15,10 +15,11 @@ self-blinding recalibration.
   confirm-then-recalibrate state machine, minting one independent
   :class:`AdaptationState` per stream.
 
-Both streaming runtimes take the policy directly::
+The streaming runtime and every serving session take the policy directly
+(a deployment names it as ``DeploymentSpec.adaptation``)::
 
     from repro.drift import AdaptationPolicy
-    from repro.edge import StreamingRuntime, MultiStreamRuntime
+    from repro.edge import StreamingRuntime
 
     detector.calibrate_threshold(train)            # initial deployment state
     runtime = StreamingRuntime(detector, adaptation=AdaptationPolicy())

@@ -42,8 +42,8 @@ until the anomaly is invisible -- self-blinding.  Three guards prevent that:
   themselves.
 
 One policy object is a *configuration*; :meth:`AdaptationPolicy.start`
-mints an independent :class:`AdaptationState` per stream (the fleet runtime
-keeps one per lane), so no change-point state is shared across streams.
+mints an independent :class:`AdaptationState` per stream (every serving
+session keeps its own), so no change-point state is shared across streams.
 """
 
 from __future__ import annotations

@@ -8,52 +8,23 @@ edge board:
   detector's :class:`~repro.core.detector.InferenceCost` into roofline-style
   frequency/power/RAM estimates; :mod:`repro.edge.monitor` replays them as a
   jetson-stats style telemetry session.
-* **Executable** -- the streaming runtimes replay recordings through a fitted
-  detector and measure real host wall-clock costs.
+* **Executable** -- the streaming runtime replays a recording through a
+  fitted detector and measures real host wall-clock costs.
 
-Streaming runtimes
-------------------
+Streaming runtime
+-----------------
 
 :class:`StreamingRuntime` is the paper's single-stream test script: one
 sample from one stream per call to
 :meth:`~repro.core.detector.AnomalyDetector.score_window`, with per-call
-latency measurement and optional threshold alarms.
-
-:class:`MultiStreamRuntime` (:mod:`repro.edge.fleet`) is the batched
-lockstep replay engine: it advances N concurrent
-:class:`~repro.data.streaming.StreamReader` replays one sample per tick and
-scores one coalesced batch per tick through
-:meth:`~repro.core.detector.AnomalyDetector.score_windows_batch`.  It emits
-one :class:`StreamingResult` per stream -- bit-identical scores to the
-sequential runtime, NaN prefix included -- plus aggregate
-:class:`FleetStats` (samples/sec, per-batch latencies, batch sizes, and
-streaming p50/p95/p99 latency / batch-occupancy histograms).
-
-Both runtimes are thin drivers over the session-based serving core in
-:mod:`repro.serve` (per-stream :class:`~repro.serve.ScoringSession` state
-machines plus the :class:`~repro.serve.MicroBatcher` scheduler), which is
-also where *new* serving code should go: :class:`~repro.serve.AnomalyService`
-serves dynamically created sessions at unaligned push rates with
-latency-budgeted micro-batching, an asyncio/TCP front door and explicit
-backpressure -- ``MultiStreamRuntime`` is kept as a deprecated replay shim
-(see the migration table in the :mod:`repro.serve` docstring).
-
-Typical fleet usage::
-
-    from repro.data import StreamReader
-    from repro.edge import MultiStreamRuntime
-
-    runtime = MultiStreamRuntime(detector, threshold=calibrated)
-    fleet = runtime.run([StreamReader(s) for s in streams])
-    fleet.stats.samples_per_second     # aggregate throughput
-    fleet[0].scores                    # per-stream StreamingResult
-
-Benchmark the batched engine against per-stream sequential scoring with::
-
-    PYTHONPATH=src python -m pytest benchmarks/bench_fleet_throughput.py -q -s
-
-which records samples/sec versus stream count; the score-parity suite lives
-in ``tests/test_edge/test_fleet_parity.py``.
+latency measurement and optional threshold alarms.  It is a thin driver
+over one :class:`repro.serve.ScoringSession`, the same per-stream state
+machine that serves many streams at once in :mod:`repro.serve`
+(:class:`~repro.serve.AnomalyService` for live, unaligned pushes;
+:meth:`repro.pipeline.Pipeline.deploy_fleet` for replaying N recordings
+with one batched scoring call per round -- bit-identical scores to this
+runtime, NaN prefix included; the parity suite lives in
+``tests/test_edge/test_fleet_parity.py``).
 
 Export -> quantize -> deploy
 ----------------------------
@@ -70,12 +41,13 @@ A fitted detector becomes a deployable edge artifact in three steps::
 
     # ... on the edge device ...
     served = load_detector("artifacts/varade-int8")
-    fleet = MultiStreamRuntime(served).run(readers)      # threshold included
+    result = StreamingRuntime(served).run(reader)        # threshold included
 
-Both runtimes pick up the artifact's calibrated threshold automatically;
-the estimator recognises int8 cost profiles
-(``InferenceCost.compute_dtype == "int8"``) and applies the device's
-integer-throughput multipliers on top of the smaller memory footprint.
+The runtime (like every serving session) picks up the artifact's
+calibrated threshold automatically; the estimator recognises int8 cost
+profiles (``InferenceCost.compute_dtype == "int8"``) and applies the
+device's integer-throughput multipliers on top of the smaller memory
+footprint.
 ``benchmarks/bench_quantized_inference.py`` measures the realised float
 vs int8 batched throughput and the score drift of quantization;
 ``tests/golden/`` freezes per-detector scores so refactors of any of this
@@ -84,7 +56,7 @@ pipeline cannot silently change the numbers.
 Online drift adaptation
 -----------------------
 
-Both runtimes accept an optional :class:`~repro.drift.AdaptationPolicy`
+The runtime accepts an optional :class:`~repro.drift.AdaptationPolicy`
 that turns the frozen deployment threshold into an adaptive one::
 
     from repro.drift import AdaptationPolicy
@@ -99,9 +71,9 @@ The policy watches the anomaly-score stream with a change detector
 baseline, and re-derives the threshold with the same calibrator rule the
 deployment used -- see :mod:`repro.drift` for the hysteresis/cooldown
 machinery that keeps anomaly bursts from triggering self-blinding
-recalibration.  :class:`MultiStreamRuntime` mints one independent
-adaptation state per stream, so drift in one robot cell never recalibrates
-its neighbours.  Alarm semantics: each sample is classified with the
+recalibration.  Every serving session mints its own independent
+adaptation state, so drift in one robot cell never recalibrates its
+neighbours.  Alarm semantics: each sample is classified with the
 threshold in effect *before* the sample is observed, so a no-drift run is
 bit-identical -- scores and alarms -- to the non-adaptive path.
 ``benchmarks/bench_drift_adaptation.py`` measures the precision recovered
@@ -110,7 +82,6 @@ on the seeded drift scenarios of :func:`repro.data.build_drift_scenario`.
 
 from .device import DEVICES, EdgeDeviceSpec, JETSON_AGX_ORIN, JETSON_XAVIER_NX, get_device
 from .estimator import EdgeEstimator, EdgeMetrics
-from .fleet import FleetResult, FleetStats, MultiStreamRuntime
 from .monitor import (BoardMonitor, MetricSample, MonitoringSession,
                       StreamingHistogram)
 from .runtime import StreamingResult, StreamingRuntime
@@ -127,9 +98,6 @@ __all__ = [
     "MetricSample",
     "MonitoringSession",
     "StreamingHistogram",
-    "FleetResult",
-    "FleetStats",
-    "MultiStreamRuntime",
     "StreamingResult",
     "StreamingRuntime",
 ]

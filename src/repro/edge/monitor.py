@@ -11,8 +11,9 @@ a real monitor would observe) and reduces them to the same mean statistics.
 fixed-bin histogram that summarises per-sample latencies and batch
 occupancies as p50/p95/p99 without retaining the full trace, so an
 always-on serving process (:mod:`repro.serve`) can report tail latency over
-millions of samples in constant memory.  :class:`repro.edge.FleetStats`
-carries one for its batch latencies and one for its batch occupancies.
+millions of samples in constant memory.  :class:`repro.serve.MicroBatcher`
+keeps one for its enqueue-to-score latencies and one for its batch
+occupancies.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ __all__ = ["StreamingResult", "StreamingRuntime", "resolve_threshold"]
 
 def resolve_threshold(explicit: Optional[CalibratedThreshold],
                       detector: AnomalyDetector) -> Optional[CalibratedThreshold]:
-    """Alarm-threshold policy shared by the streaming and fleet runtimes.
+    """Alarm-threshold policy shared by the runtime and every serving session.
 
     An explicitly passed threshold wins; otherwise the detector's own
     calibrated threshold (e.g. restored by

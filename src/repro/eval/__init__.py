@@ -17,12 +17,14 @@ from .ablation import (
     run_window_sweep,
 )
 from .experiment import (
+    DETECTOR_NAMES,
     DetectorEvaluation,
     ExperimentConfig,
     ExperimentResult,
     evaluate_detector,
     paper_scale_costs,
     run_full_experiment,
+    study_specs,
 )
 from .metrics import (
     average_precision_score,
@@ -52,6 +54,8 @@ __all__ = [
     "run_kl_weight_sweep",
     "run_variational_ablation",
     "run_window_sweep",
+    "DETECTOR_NAMES",
+    "study_specs",
     "DetectorEvaluation",
     "ExperimentConfig",
     "ExperimentResult",

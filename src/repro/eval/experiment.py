@@ -28,15 +28,17 @@ from ..baselines.autoencoder import AutoencoderConfig, AutoencoderDetector
 from ..baselines.gbrf import GBRFConfig, GBRFDetector
 from ..baselines.isolation_forest import IsolationForestConfig, IsolationForestDetector
 from ..baselines.knn import KNNConfig, KNNDetector
-from ..baselines.registry import DETECTOR_NAMES, DetectorRegistry
 from ..core.config import VaradeConfig
 from ..core.detector import AnomalyDetector, InferenceCost, VaradeDetector
 from ..data.dataset import BenchmarkDataset, DatasetConfig, build_benchmark_dataset
 from ..edge.device import get_device
 from ..edge.estimator import EdgeEstimator, EdgeMetrics
+from ..pipeline import DeploymentSpec, DetectorSpec, Pipeline
 from .metrics import average_precision_score, best_f1_score, roc_auc_score
 
 __all__ = [
+    "DETECTOR_NAMES",
+    "study_specs",
     "ExperimentConfig",
     "DetectorEvaluation",
     "ExperimentResult",
@@ -44,6 +46,56 @@ __all__ = [
     "run_full_experiment",
     "evaluate_detector",
 ]
+
+
+#: display names of the study's six detectors, in Table-2 order
+DETECTOR_NAMES = ("AR-LSTM", "GBRF", "AE", "kNN", "Isolation Forest", "VARADE")
+
+
+def study_specs(n_channels: int, window: int = 32, *, neural_epochs: int = 4,
+                max_train_windows: int = 600, varade_feature_maps: int = 16,
+                varade_epochs: int = 24, varade_warmup_epochs: int = 4,
+                lstm_hidden: int = 32, seed: int = 0) -> Dict[str, DeploymentSpec]:
+    """The study's six detectors at reproduction scale, by display name.
+
+    One :class:`~repro.pipeline.DeploymentSpec` per entry of
+    :data:`DETECTOR_NAMES`, sized for a CPU budget (``paper_scale_costs``
+    holds the paper's full-scale shapes);
+    ``Pipeline.from_spec(spec).build_detector()`` constructs the detector.
+    """
+    shape = {"n_channels": n_channels, "window": window}
+    detectors = {
+        # The recurrent baseline runs with a shorter context than the
+        # convolutional models (sequential processing makes a full window
+        # prohibitively slow in pure Python); its score rule is unchanged.
+        "AR-LSTM": DetectorSpec("ar_lstm", {
+            "n_channels": n_channels, "window": min(window, 16),
+            "hidden_size": lstm_hidden, "num_layers": 2,
+            "fc_size": lstm_hidden * 2, "epochs": neural_epochs,
+            "max_train_windows": min(max_train_windows, 300)}),
+        "GBRF": DetectorSpec("gbrf", {
+            **shape, "n_estimators": 30, "context_samples": 4,
+            "max_train_windows": min(max_train_windows, 400)}),
+        "AE": DetectorSpec("autoencoder", {
+            **shape, "base_feature_maps": varade_feature_maps,
+            "latent_feature_maps": varade_feature_maps * 2,
+            "epochs": neural_epochs, "max_train_windows": max_train_windows}),
+        "kNN": DetectorSpec("knn", {"n_channels": n_channels}),
+        "Isolation Forest": DetectorSpec("isolation_forest",
+                                         {"n_channels": n_channels}),
+        # VARADE needs the variational phase to actually learn the
+        # context-dependent variance; its per-epoch cost is small, so it gets
+        # a larger epoch budget than the other neural models.
+        "VARADE": DetectorSpec(
+            "varade",
+            {**shape, "base_feature_maps": varade_feature_maps, "kl_weight": 0.1},
+            training={"learning_rate": 3e-3, "epochs": varade_epochs,
+                      "mean_warmup_epochs": varade_warmup_epochs,
+                      "batch_size": 32,
+                      "max_train_windows": max(max_train_windows, 1200)}),
+    }
+    return {name: DeploymentSpec(detector=detectors[name], seed=seed)
+            for name in DETECTOR_NAMES}
 
 
 def paper_scale_costs(n_channels: int = 86) -> Dict[str, InferenceCost]:
@@ -183,22 +235,15 @@ def run_full_experiment(config: Optional[ExperimentConfig] = None,
                         dataset: Optional[BenchmarkDataset] = None) -> ExperimentResult:
     """Run the full evaluation: every detector, every board.
 
-    Detector construction goes through the declarative pipeline
-    (:class:`repro.pipeline.Pipeline` over the registry's
-    :meth:`~repro.baselines.registry.DetectorRegistry.deployment_spec`
-    bridge), so the harness exercises the same front door as the CLI and
-    the examples while producing bit-identical detectors to the legacy
-    ``registry.specs(...)[i].build()`` path.
+    Detectors are built from :func:`study_specs` through
+    :class:`repro.pipeline.Pipeline`, the same front door as the CLI and
+    the examples.
     """
-    # Imported here: repro.eval loads before repro.pipeline in the package
-    # __init__, so the pipeline must not be a module-level dependency.
-    from ..pipeline import Pipeline
-
     config = config if config is not None else ExperimentConfig()
     if dataset is None:
         dataset = build_benchmark_dataset(config.dataset)
 
-    registry = DetectorRegistry(
+    specs = study_specs(
         n_channels=dataset.n_channels,
         window=config.window,
         neural_epochs=config.neural_epochs,
@@ -209,10 +254,9 @@ def run_full_experiment(config: Optional[ExperimentConfig] = None,
     costs = paper_scale_costs(n_channels=86)
     estimators = {name: EdgeEstimator(get_device(name)) for name in config.devices}
 
-    # Validate every requested name upfront (as registry.specs always did)
-    # so a typo fails before any detector burns training time.
-    deployments = [(name, registry.deployment_spec(name))
-                   for name in config.detectors]
+    # Look every requested name up first, so a typo fails before any
+    # detector burns training time.
+    deployments = [(name, specs[name]) for name in config.detectors]
 
     evaluations: List[DetectorEvaluation] = []
     for name, deployment in deployments:

@@ -195,10 +195,11 @@ def record_baseline(artifact: Union[str, Path], traffic, *,
     (:func:`repro.serialize.save_detector` layout); ``traffic`` is one
     ``(n_samples, channels)`` array or a sequence of them -- use the same
     kind of traffic the artifact will serve (typically the spec's held-out
-    test split).  The replay goes through the serving core -- per-stream
+    test split).  The replay goes through the serving core
+    (:func:`repro.serve.replay_streams`: per-stream
     :class:`~repro.serve.ScoringSession`\\ s feeding a
     :class:`~repro.serve.MicroBatcher` round-robin, alarms decided by the
-    artifact's own calibrated threshold -- so the recorded distributions
+    artifact's own calibrated threshold), so the recorded distributions
     are the serving path's, not an offline approximation.
 
     Returns the :class:`GoldenBaseline`; with ``write=True`` (default) it
@@ -206,6 +207,7 @@ def record_baseline(artifact: Union[str, Path], traffic, *,
     :func:`load_baseline` / the canary flow to find.
     """
     from ..serve.batcher import MicroBatcher
+    from ..serve.replay import replay_streams
     from ..serve.session import ScoringSession
 
     artifact = Path(artifact)
@@ -219,35 +221,17 @@ def record_baseline(artifact: Union[str, Path], traffic, *,
                            max_delay_ms=0.0, max_queue=max_batch)
     scores = score_histogram()
     latencies = latency_histogram()
-    samples_scored = 0
     alarms = 0
-
-    def fold(results) -> None:
-        nonlocal samples_scored, alarms
-        for sample in results:
-            scores.add(sample.score)
-            latencies.add(sample.latency_s)
-            samples_scored += 1
-            alarms += int(sample.alarm)
-
-    longest = max(stream.shape[0] for stream in streams)
-    for position in range(longest):
-        for session, stream in zip(sessions, streams):
-            if position >= stream.shape[0]:
-                continue
-            request = session.submit(stream[position])
-            if request is None:
-                continue
-            fold(batcher.enqueue(request))
-            if batcher.pending_count() >= max_batch:
-                fold(batcher.flush())
-    fold(batcher.drain())
+    for sample in replay_streams(sessions, streams, batcher):
+        scores.add(sample.score)
+        latencies.add(sample.latency_s)
+        alarms += int(sample.alarm)
 
     baseline = GoldenBaseline(
         fingerprint=artifact_fingerprint(artifact),
         detector=detector.name,
         streams=len(streams),
-        samples_scored=samples_scored,
+        samples_scored=batcher.scored,
         alarms=alarms,
         score_histogram=scores,
         latency_histogram=latencies,

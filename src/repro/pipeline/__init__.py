@@ -45,8 +45,8 @@ Quick example::
 
 from . import builders  # noqa: F401  (registers the built-in detector kinds)
 from .builders import DETECTOR_KINDS
-from .pipeline import (DetectorReport, Pipeline, PipelineReport,
-                       PipelineStageError, run_pipeline)
+from .pipeline import (DetectorReport, FleetResult, FleetStats, Pipeline,
+                       PipelineReport, PipelineStageError, run_pipeline)
 from .registry import DETECTORS, DetectorRegistry, RegisteredDetector
 from .spec import (AdaptationSpec, CalibrationSpec, ClusterSpec, DataSpec,
                    DeploymentSpec, DetectorSpec, LifecycleSpec,
@@ -71,6 +71,8 @@ __all__ = [
     "Pipeline",
     "PipelineReport",
     "DetectorReport",
+    "FleetResult",
+    "FleetStats",
     "PipelineStageError",
     "run_pipeline",
 ]

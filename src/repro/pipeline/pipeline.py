@@ -30,19 +30,22 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..core.calibration import CalibratedThreshold
 from ..core.detector import AnomalyDetector, ScoreResult
 from ..data.streaming import StreamReader
+from ..edge.monitor import StreamingHistogram
+from ..edge.runtime import StreamingResult, StreamingRuntime
 from ..serialize import (UnknownDetectorError, load_detector, read_manifest,
                          save_detector)
 from .registry import DETECTORS
 from .spec import DeploymentSpec, SpecError
 
-__all__ = ["PipelineStageError", "DetectorReport", "PipelineReport", "Pipeline"]
+__all__ = ["PipelineStageError", "DetectorReport", "PipelineReport",
+           "FleetStats", "FleetResult", "Pipeline"]
 
 ArrayLike = Union[np.ndarray, Sequence[Sequence[float]]]
 
@@ -77,6 +80,55 @@ class PipelineReport:
     def serving_report(self) -> DetectorReport:
         return self.quantized_report if self.quantized_report is not None \
             else self.float_report
+
+
+@dataclass
+class FleetStats:
+    """Throughput profile of one :meth:`Pipeline.deploy_fleet` replay.
+
+    Everything but the wall clock is read off the replay's
+    :class:`~repro.serve.MicroBatcher` when it has drained.
+    """
+
+    samples_scored: int            # across all streams
+    flushes: int                   # batched scoring calls
+    wall_time_s: float             # whole replay, windowing + scoring
+    scoring_time_s: float          # inside score_windows_batch calls
+    #: streaming enqueue-to-score latency summary (p50/p95/p99 without
+    #: retaining the trace)
+    latency_histogram: StreamingHistogram = field(repr=False)
+    #: streaming batch-occupancy summary (rows per flush)
+    occupancy_histogram: StreamingHistogram = field(repr=False)
+
+    @property
+    def samples_per_second(self) -> float:
+        """End-to-end scored-sample throughput of the whole fleet."""
+        if self.samples_scored == 0:
+            return 0.0
+        if self.wall_time_s <= 0.0:
+            return float("inf")
+        return self.samples_scored / self.wall_time_s
+
+    @property
+    def mean_batch_size(self) -> float:
+        return self.samples_scored / self.flushes if self.flushes else 0.0
+
+
+@dataclass
+class FleetResult:
+    """Per-stream results plus fleet-wide throughput stats."""
+
+    results: List[StreamingResult]  # one per input stream, in input order
+    stats: FleetStats
+
+    def __len__(self) -> int:
+        return len(self.results)
+
+    def __iter__(self) -> Iterator[StreamingResult]:
+        return iter(self.results)
+
+    def __getitem__(self, index: int) -> StreamingResult:
+        return self.results[index]
 
 
 class Pipeline:
@@ -289,8 +341,6 @@ class Pipeline:
         ``spec.adaptation`` (when present) enables online threshold
         recalibration.  Returns the runtime's ``StreamingResult``.
         """
-        from ..edge.runtime import StreamingRuntime
-
         reader = StreamReader(np.asarray(stream, dtype=np.float64), labels=labels,
                               sample_rate=self.spec.runtime.sample_rate_hz)
         adaptation = None if self.spec.adaptation is None \
@@ -302,10 +352,23 @@ class Pipeline:
 
     def deploy_fleet(self, streams: Sequence[ArrayLike],
                      labels: Optional[Sequence[np.ndarray]] = None,
-                     max_samples: Optional[int] = None):
-        """Replay N streams through :class:`repro.edge.MultiStreamRuntime`."""
-        from ..edge.fleet import MultiStreamRuntime
+                     max_samples: Optional[int] = None) -> FleetResult:
+        """Replay N recordings through the serving detector, batched.
 
+        One recording :class:`repro.serve.ScoringSession` per stream feeds
+        one shared :class:`repro.serve.MicroBatcher` through the offline
+        :func:`repro.serve.replay_streams` loop, so each round of the fleet
+        is a single ``score_windows_batch`` call.  Streams may differ in
+        length but must share the detector's channel count.  The per-stream
+        :class:`repro.edge.StreamingResult`\\ s are bit-identical to
+        :meth:`deploy_stream` run once per stream -- NaN warm-up prefix,
+        ``max_samples`` budget (per stream), thresholded alarms and one
+        independent ``spec.adaptation`` lane per stream included.
+        """
+        from ..serve import MicroBatcher, ScoringSession, replay_streams
+
+        if len(streams) == 0:
+            raise ValueError("deploy_fleet needs at least one stream")
         if labels is None:
             labels = [None] * len(streams)
         if len(labels) != len(streams):
@@ -315,12 +378,38 @@ class Pipeline:
                          sample_rate=self.spec.runtime.sample_rate_hz)
             for stream, stream_labels in zip(streams, labels)
         ]
+        detector = self.serving_detector
         adaptation = None if self.spec.adaptation is None \
             else self.spec.adaptation.policy()
-        runtime = MultiStreamRuntime(self.serving_detector, adaptation=adaptation)
         if max_samples is None:
             max_samples = self.spec.runtime.max_samples
-        return runtime.run(readers, max_samples=max_samples)
+        # incremental=False: the point of a fleet replay is the one batched
+        # call per round; per-sample incremental pushes would serialise it.
+        sessions = [
+            ScoringSession(detector, f"stream-{position}",
+                           adaptation=adaptation, max_samples=max_samples,
+                           incremental=False)
+            for position in range(len(readers))
+        ]
+        batcher = MicroBatcher(detector, max_batch=len(readers),
+                               max_delay_ms=0.0)
+        start = time.perf_counter()
+        for _ in replay_streams(sessions, [reader.data for reader in readers],
+                                batcher):
+            pass
+        wall_time = time.perf_counter() - start
+        return FleetResult(
+            results=[session.result(labels=reader.labels)
+                     for session, reader in zip(sessions, readers)],
+            stats=FleetStats(
+                samples_scored=batcher.scored,
+                flushes=batcher.flushes,
+                wall_time_s=wall_time,
+                scoring_time_s=batcher.scoring_time_s,
+                latency_histogram=batcher.queue_delay_histogram,
+                occupancy_histogram=batcher.occupancy_histogram,
+            ),
+        )
 
     def deploy_service(self, config: Optional[Any] = None,
                        record_sessions: bool = False,

@@ -84,11 +84,8 @@ class RegisteredDetector:
 class DetectorRegistry:
     """Decorator-based, string-keyed registry of detector kinds.
 
-    Distinct from the legacy study builder of the same name,
-    :class:`repro.baselines.DetectorRegistry` (constructor-parameterised,
-    display-name keyed) -- keep both module-qualified at call sites.  Most
-    code should use the process-wide :data:`DETECTORS` instance rather than
-    constructing its own registry.
+    Most code should use the process-wide :data:`DETECTORS` instance rather
+    than constructing its own registry.
     """
 
     def __init__(self) -> None:
@@ -158,7 +155,7 @@ class DetectorRegistry:
         )
 
     def kind_for_display_name(self, name: str) -> str:
-        """Map a legacy display name (``"VARADE"``, ``"kNN"``...) to its kind."""
+        """Map a display name (``"VARADE"``, ``"kNN"``...) to its kind."""
         for entry in self._entries.values():
             if entry.display_name == name:
                 return entry.kind

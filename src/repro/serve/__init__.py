@@ -5,7 +5,9 @@ production deployment of it is a *service*: many streams, unaligned and
 bursty sample arrival, sessions that come and go, one small model that
 should spend its time in batched inference rather than per-call Python
 overhead.  :mod:`repro.serve` is that serving layer, built from three
-pieces that compose:
+pieces that compose (plus :func:`replay_streams`, the clockless offline
+loop that drives the first two over recorded streams -- see
+:mod:`repro.serve.replay`):
 
 * :class:`ScoringSession` -- the per-stream handle.  Owns the stream's
   rolling context window, (optional) input scaler, resolved alarm
@@ -68,13 +70,13 @@ default-off path stays bit-identical and within noise of the
 uninstrumented build.
 
 Operational guidance -- backpressure-policy selection, latency-budget
-tuning, the ``MultiStreamRuntime`` migration table, and every exported
-metric -- lives in ``docs/OPERATIONS.md``; the package-by-package data
-flow is mapped in ``docs/ARCHITECTURE.md``.
+tuning, and every exported metric -- lives in ``docs/OPERATIONS.md``; the
+package-by-package data flow is mapped in ``docs/ARCHITECTURE.md``.
 """
 
 from . import wire
 from .batcher import BACKPRESSURE_POLICIES, MicroBatcher, QueueFullError
+from .replay import replay_streams
 from .service import AnomalyService, ServiceConfig, ServiceStats
 from .session import (Alarm, ScoredSample, ScoringSession, SessionClosedError,
                       WindowRequest)
@@ -93,6 +95,7 @@ __all__ = [
     "BACKPRESSURE_POLICIES",
     "MicroBatcher",
     "QueueFullError",
+    "replay_streams",
     "AnomalyService",
     "ServiceConfig",
     "ServiceStats",

@@ -11,8 +11,8 @@ requests are pending or when the oldest request has waited ``max_delay_ms``.
 
 The batcher is a synchronous core with an injectable clock: the asyncio
 :class:`~repro.serve.service.AnomalyService` drives it from its scheduler
-task, the reimplemented :class:`repro.edge.MultiStreamRuntime` drives it
-once per lockstep tick, and the Hypothesis property suite drives it with a
+task, the offline :func:`~repro.serve.replay.replay` loop flushes it
+whenever a batch fills, and the Hypothesis property suite drives it with a
 fake clock.  Scoring order inside a flush is FIFO across sessions, which
 preserves per-session order; detectors' batched scoring is batch-invariant
 (bit-identical per row regardless of batch composition -- the PR-1 parity
@@ -104,10 +104,6 @@ class MicroBatcher:
         docstring for when to pick which.
     clock:
         Monotonic time source (injectable for deterministic tests).
-    record_batches:
-        Keep per-flush sizes and wall-clock latencies (the bounded-run
-        :class:`~repro.edge.FleetStats` consumes them).  Off by default:
-        an unbounded service keeps only the streaming histograms.
     tracer:
         Optional :class:`repro.obs.TraceRecorder`.  When set, every flush
         records one ``"flush"`` span on the ``"batcher"`` track plus one
@@ -122,7 +118,6 @@ class MicroBatcher:
                  max_delay_ms: float = 5.0, max_queue: int = 256,
                  backpressure: str = "block",
                  clock: Callable[[], float] = time.perf_counter,
-                 record_batches: bool = False,
                  tracer=None) -> None:
         validate_batcher_knobs(max_batch, max_delay_ms, max_queue, backpressure)
         self.detector = detector
@@ -131,7 +126,6 @@ class MicroBatcher:
         self.max_queue = max_queue
         self.backpressure = backpressure
         self.clock = clock
-        self.record_batches = record_batches
         self.tracer = tracer
         #: optional observer of every flushed batch (the canary shadow
         #: lane): called with the popped request list *after* scores are
@@ -145,8 +139,6 @@ class MicroBatcher:
         self.queue_delay_histogram = StreamingHistogram.log_spaced(1e-6, 60.0)
         self.occupancy_histogram = StreamingHistogram.linear(
             0.5, max_batch + 0.5, max_batch)
-        self.batch_sizes: List[int] = []
-        self.batch_latencies_s: List[float] = []
         self.scoring_time_s = 0.0
         self.flushes = 0
         self.scored = 0
@@ -261,7 +253,7 @@ class MicroBatcher:
             prescored = {id(request) for request in batch
                          if request.score is not None}
         else:
-            # All-batch flush (the fleet/lockstep hot path): no extra passes.
+            # All-batch flush (the fleet replay hot path): no extra passes.
             unscored = batch
             prescored = frozenset()
         start = self.clock()
@@ -292,9 +284,6 @@ class MicroBatcher:
         self.scored += take
         self.scoring_time_s += elapsed + inline_time
         self.occupancy_histogram.add(take)
-        if self.record_batches:
-            self.batch_sizes.append(take)
-            self.batch_latencies_s.append(elapsed + inline_time)
         if self.tracer is not None:
             self.tracer.span("flush", "batcher", start, end,
                              batch=take, prescored=take - len(unscored),

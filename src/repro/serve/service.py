@@ -6,8 +6,7 @@ whatever unaligned, bursty rates their sensors deliver, a single scheduler
 task coalesces everything pending into micro-batches under a latency
 budget, and consumers ``async for alarm in service.alarms()``.  Sessions
 are created and closed dynamically -- there is no fixed fleet at
-construction, unlike the lockstep :class:`repro.edge.MultiStreamRuntime`
-this package supersedes.
+construction.
 
 The service is a thin asyncio shell over the deterministic synchronous
 core (:class:`~repro.serve.session.ScoringSession` +

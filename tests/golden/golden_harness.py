@@ -24,15 +24,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.baselines.ar_lstm import ARLSTMConfig, ARLSTMDetector
-from repro.baselines.autoencoder import AutoencoderConfig, AutoencoderDetector
-from repro.baselines.gbrf import GBRFConfig, GBRFDetector
-from repro.baselines.isolation_forest import (
-    IsolationForestConfig,
-    IsolationForestDetector,
-)
-from repro.baselines.knn import KNNConfig, KNNDetector
-from repro.core import TrainingConfig, VaradeConfig, VaradeDetector
+from repro.pipeline import DeploymentSpec, DetectorSpec, Pipeline
 
 FIXTURE_PATH = Path(__file__).parent / "golden_scores.npz"
 
@@ -80,39 +72,43 @@ def generate_stream() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return train, test, labels
 
 
+#: the exact golden configuration of every detector: registry kind, config
+#: kwargs and (VARADE only) training kwargs.
+GOLDEN_DETECTORS = {
+    "VARADE": DetectorSpec(
+        "varade",
+        dict(n_channels=N_CHANNELS, window=16, base_feature_maps=8),
+        training=dict(learning_rate=3e-3, epochs=3, mean_warmup_epochs=1,
+                      variance_finetune_epochs=2, batch_size=32,
+                      max_train_windows=200)),
+    "AR-LSTM": DetectorSpec(
+        "ar_lstm", dict(n_channels=N_CHANNELS, window=8, hidden_size=8,
+                        num_layers=1, fc_size=16, epochs=1,
+                        max_train_windows=100)),
+    "GBRF": DetectorSpec(
+        "gbrf", dict(n_channels=N_CHANNELS, window=16, n_estimators=10,
+                     max_depth=2, context_samples=3, max_train_windows=150)),
+    "AE": DetectorSpec(
+        "autoencoder", dict(n_channels=N_CHANNELS, window=16,
+                            base_feature_maps=8, n_blocks=2,
+                            latent_feature_maps=12, epochs=1,
+                            max_train_windows=120)),
+    "kNN": DetectorSpec(
+        "knn", dict(n_channels=N_CHANNELS, n_neighbors=5,
+                    max_reference_points=300)),
+    "Isolation Forest": DetectorSpec(
+        "isolation_forest", dict(n_channels=N_CHANNELS, n_estimators=25,
+                                 max_samples=64)),
+}
+
+
 def build_detectors() -> Dict[str, object]:
-    """Fresh, unfitted detectors in the exact golden configuration."""
+    """Fresh, unfitted detectors in the exact golden configuration, built
+    through the declarative pipeline (seed 0 everywhere)."""
     return {
-        "VARADE": VaradeDetector(
-            VaradeConfig(n_channels=N_CHANNELS, window=16, base_feature_maps=8),
-            TrainingConfig(learning_rate=3e-3, epochs=3, mean_warmup_epochs=1,
-                           variance_finetune_epochs=2, batch_size=32,
-                           max_train_windows=200, seed=0),
-        ),
-        "AR-LSTM": ARLSTMDetector(
-            ARLSTMConfig(n_channels=N_CHANNELS, window=8, hidden_size=8,
-                         num_layers=1, fc_size=16, epochs=1,
-                         max_train_windows=100, seed=0),
-        ),
-        "GBRF": GBRFDetector(
-            GBRFConfig(n_channels=N_CHANNELS, window=16, n_estimators=10,
-                       max_depth=2, context_samples=3, max_train_windows=150,
-                       seed=0),
-        ),
-        "AE": AutoencoderDetector(
-            AutoencoderConfig(n_channels=N_CHANNELS, window=16,
-                              base_feature_maps=8, n_blocks=2,
-                              latent_feature_maps=12, epochs=1,
-                              max_train_windows=120, seed=0),
-        ),
-        "kNN": KNNDetector(
-            KNNConfig(n_channels=N_CHANNELS, n_neighbors=5,
-                      max_reference_points=300, seed=0),
-        ),
-        "Isolation Forest": IsolationForestDetector(
-            IsolationForestConfig(n_channels=N_CHANNELS, n_estimators=25,
-                                  max_samples=64, seed=0),
-        ),
+        name: Pipeline.from_spec(
+            DeploymentSpec(detector=detector, seed=0)).build_detector()
+        for name, detector in GOLDEN_DETECTORS.items()
     }
 
 

@@ -1,4 +1,4 @@
-"""Tests for the five baseline detectors and the registry."""
+"""Tests for the five baseline detectors and the study presets."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,6 @@ from repro.baselines import (
     ARLSTMDetector,
     AutoencoderConfig,
     AutoencoderDetector,
-    DETECTOR_NAMES,
-    DetectorRegistry,
     GBRFConfig,
     GBRFDetector,
     IsolationForestConfig,
@@ -17,7 +15,8 @@ from repro.baselines import (
     KNNConfig,
     KNNDetector,
 )
-from repro.eval import roc_auc_score
+from repro.eval import DETECTOR_NAMES, roc_auc_score, study_specs
+from repro.pipeline import Pipeline, SpecError
 
 
 def synthetic_stream(n_samples=360, n_channels=4, seed=0, anomaly=False):
@@ -165,26 +164,33 @@ class TestIsolationForestDetector:
 
 class TestRegistry:
     def test_builds_all_six_detectors(self):
-        registry = DetectorRegistry(n_channels=4, window=16, neural_epochs=1,
-                                    max_train_windows=50, varade_epochs=1)
-        detectors = registry.build_all()
-        assert set(detectors) == set(DETECTOR_NAMES)
+        specs = study_specs(n_channels=4, window=16, neural_epochs=1,
+                            max_train_windows=50, varade_epochs=1)
+        assert tuple(specs) == DETECTOR_NAMES
+        for name, spec in specs.items():
+            detector = Pipeline.from_spec(spec).build_detector()
+            assert detector.name == name
+            assert detector.config.n_channels == 4
 
     def test_include_filter(self):
-        registry = DetectorRegistry(n_channels=4, window=16)
-        specs = registry.specs(["VARADE", "kNN"])
-        assert [spec.name for spec in specs] == ["VARADE", "kNN"]
+        specs = study_specs(n_channels=4, window=16)
+        kinds = [specs[name].detector.kind for name in ("VARADE", "kNN")]
+        assert kinds == ["varade", "knn"]
 
     def test_unknown_detector_raises(self):
-        registry = DetectorRegistry(n_channels=4, window=16)
         with pytest.raises(KeyError):
-            registry.specs(["nonexistent"])
+            study_specs(n_channels=4, window=16)["nonexistent"]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DetectorRegistry(n_channels=0)
-        with pytest.raises(ValueError):
-            DetectorRegistry(n_channels=4, window=1)
+        """A bad stream shape is rejected when the preset's config is built
+        (kNN and Isolation Forest score single samples: no window)."""
+        for spec in study_specs(n_channels=0).values():
+            with pytest.raises(SpecError):
+                Pipeline.from_spec(spec).build_detector()
+        short = study_specs(n_channels=4, window=1)
+        for name in ("AR-LSTM", "GBRF", "AE", "VARADE"):
+            with pytest.raises(SpecError):
+                Pipeline.from_spec(short[name]).build_detector()
 
     def test_detector_names_constant_is_complete(self):
         assert set(DETECTOR_NAMES) == {"AR-LSTM", "GBRF", "AE", "kNN",

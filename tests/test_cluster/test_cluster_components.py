@@ -16,11 +16,13 @@ import pytest
 
 from repro.cluster import (ClusterStats, TenantWireServer, WorkerConfig,
                            WorkerSupervisor, merge_metrics_pages)
+from repro.cluster.worker import argument_parser as worker_argument_parser
 from repro.edge import StreamingHistogram
 from repro.pipeline import Pipeline
 from repro.serialize import artifact_fingerprint
-from repro.serve import (AnomalyWireServer, BinaryClient, ServiceConfig,
-                         ServiceStats, TCPClient, TCPTransport)
+from repro.serve import (BACKPRESSURE_POLICIES, AnomalyWireServer,
+                         BinaryClient, ServiceConfig, ServiceStats, TCPClient,
+                         TCPTransport)
 
 from cluster_helpers import N_CHANNELS, worker_config
 
@@ -283,6 +285,23 @@ class TestWorkerSupervisor:
                 assert client.ping()["ok"]
             supervisor.stop("w0")
             assert not supervisor.alive("w0")
+
+    @pytest.mark.parametrize("policy", BACKPRESSURE_POLICIES)
+    def test_worker_parses_every_flag_the_supervisor_spawns_it_with(
+            self, tmp_path, policy):
+        """Regression: the worker's ``--backpressure`` choices spelled the
+        ``"reject"`` policy ``"error"``, so ``repro serve --workers N
+        --backpressure reject`` spawned workers that died in argparse."""
+        config = WorkerConfig(name="w0", artifacts={"default": tmp_path},
+                              max_batch=8, max_delay_ms=2.0, max_queue=16,
+                              backpressure=policy, incremental=False)
+        with WorkerSupervisor(run_dir=tmp_path) as supervisor:
+            command = supervisor._command(config, tmp_path / "w0.port")
+        flags = command[command.index("repro.cluster.worker") + 1:]
+        args = worker_argument_parser().parse_args(flags)
+        assert args.backpressure == policy
+        assert args.no_incremental
+        assert (args.max_batch, args.max_delay_ms, args.max_queue) == (8, 2.0, 16)
 
     def test_worker_config_validation(self, artifact):
         with pytest.raises(ValueError):

@@ -220,13 +220,14 @@ class TestDetectorThresholdWiring:
         assert fitted_detector.threshold is None
 
     def test_runtimes_fall_back_to_detector_threshold(self, fitted_detector):
-        from repro.edge import MultiStreamRuntime, StreamingRuntime
+        from repro.edge import StreamingRuntime
+        from repro.serve import ScoringSession
 
         marker = CalibratedThreshold(0.5, "quantile", 0.99)
         fitted_detector.set_threshold(marker)
         try:
             assert StreamingRuntime(fitted_detector)._resolve_threshold() is marker
-            assert MultiStreamRuntime(fitted_detector)._resolve_threshold() is marker
+            assert ScoringSession(fitted_detector).threshold is marker
             explicit = CalibratedThreshold(2.0, "mad", 6.0)
             runtime = StreamingRuntime(fitted_detector, explicit)
             assert runtime._resolve_threshold() is explicit

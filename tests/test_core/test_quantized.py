@@ -143,15 +143,21 @@ class TestQuantizedAccuracy:
                                                          anomaly_dataset):
         """Quantized fleet serving: batched == sequential, bit for bit."""
         from repro.data import StreamReader
-        from repro.edge import MultiStreamRuntime, StreamingRuntime
+        from repro.edge import StreamingRuntime
+        from repro.serve import MicroBatcher, ScoringSession, replay_streams
 
         streams = [anomaly_dataset.test[offset:offset + 150]
                    for offset in (0, 100, 200, 300)]
-        readers = [StreamReader(stream) for stream in streams]
-        fleet = MultiStreamRuntime(quantized_detector).run(readers)
+        sessions = [ScoringSession(quantized_detector, f"stream-{index}",
+                                   incremental=False)
+                    for index in range(len(streams))]
+        batcher = MicroBatcher(quantized_detector, max_batch=len(streams),
+                               max_delay_ms=0.0)
+        scored = sum(1 for _ in replay_streams(sessions, streams, batcher))
+        assert scored == batcher.scored > 0
         for index, stream in enumerate(streams):
             sequential = StreamingRuntime(quantized_detector).run(StreamReader(stream))
             np.testing.assert_array_equal(
-                fleet[index].scores, sequential.scores,
+                sessions[index].result().scores, sequential.scores,
                 err_msg=f"stream {index}: quantized fleet scores diverge"
             )

@@ -1,13 +1,15 @@
-"""Integration tests: drift adaptation wired into both streaming runtimes."""
+"""Integration tests: drift adaptation wired into the streaming runtime and
+the batched fleet replay (``Pipeline.deploy_fleet``)."""
 
 import numpy as np
 import pytest
 
-from repro.baselines.knn import KNNConfig, KNNDetector
 from repro.data import StreamReader, build_drift_scenario
 from repro.drift import AdaptationPolicy
-from repro.edge import MultiStreamRuntime, StreamingRuntime
+from repro.edge import StreamingRuntime
 from repro.eval import compare_adaptation, drift_detection_delay
+from repro.pipeline import (AdaptationSpec, DeploymentSpec, DetectorSpec,
+                            Pipeline)
 
 SEED = 11
 
@@ -17,13 +19,33 @@ def mean_shift_scenario():
     return build_drift_scenario("mean_shift", n_test=2400, seed=SEED)
 
 
+def _knn_pipeline(n_channels, adaptation, max_reference_points=600):
+    """A kNN deployment; ``AdaptationSpec()`` is ``AdaptationPolicy()``."""
+    return Pipeline.from_spec(DeploymentSpec(
+        detector=DetectorSpec(kind="knn", params={
+            "n_channels": n_channels,
+            "max_reference_points": max_reference_points}),
+        adaptation=adaptation, seed=0))
+
+
 @pytest.fixture(scope="module")
-def fitted_knn(mean_shift_scenario):
-    detector = KNNDetector(KNNConfig(
-        n_channels=mean_shift_scenario.n_channels, max_reference_points=600))
-    detector.fit(mean_shift_scenario.train)
-    detector.calibrate_threshold(mean_shift_scenario.train)
-    return detector
+def adaptive_pipeline(mean_shift_scenario):
+    scenario = mean_shift_scenario
+    return _knn_pipeline(scenario.n_channels, AdaptationSpec()) \
+        .fit(scenario.train).calibrate()
+
+
+@pytest.fixture(scope="module")
+def frozen_pipeline(mean_shift_scenario):
+    """The same (deterministic) fit without the adaptation stage."""
+    scenario = mean_shift_scenario
+    return _knn_pipeline(scenario.n_channels, None) \
+        .fit(scenario.train).calibrate()
+
+
+@pytest.fixture(scope="module")
+def fitted_knn(adaptive_pipeline):
+    return adaptive_pipeline.detector
 
 
 @pytest.fixture(scope="module")
@@ -46,16 +68,13 @@ class TestNoDriftBitIdentity:
         assert np.array_equal(plain.scores, adaptive.scores, equal_nan=True)
         assert np.array_equal(plain.alarms, adaptive.alarms)
 
-    def test_fleet_scores_and_alarms_identical(self, fitted_knn, clean_stream):
+    def test_fleet_scores_and_alarms_identical(self, frozen_pipeline,
+                                               adaptive_pipeline, clean_stream):
         data, labels = clean_stream
-
-        def readers():
-            return [StreamReader(data, labels), StreamReader(data, labels)]
-
-        plain = MultiStreamRuntime(fitted_knn).run(readers())
-        adaptive = MultiStreamRuntime(
-            fitted_knn, adaptation=AdaptationPolicy()
-        ).run(readers())
+        plain = frozen_pipeline.deploy_fleet([data, data],
+                                             labels=[labels, labels])
+        adaptive = adaptive_pipeline.deploy_fleet([data, data],
+                                                  labels=[labels, labels])
         for plain_stream, adaptive_stream in zip(plain, adaptive):
             assert adaptive_stream.adaptation_events == []
             assert np.array_equal(plain_stream.scores, adaptive_stream.scores,
@@ -119,19 +138,14 @@ class TestMeanShiftAdaptation:
 
 class TestFleetPerStreamAdaptation:
     def test_drift_in_one_stream_leaves_the_other_frozen(
-            self, fitted_knn, mean_shift_scenario, clean_stream):
+            self, frozen_pipeline, adaptive_pipeline, mean_shift_scenario,
+            clean_stream):
         clean_data, clean_labels = clean_stream
         scenario = mean_shift_scenario
+        streams = [clean_data, scenario.stream]
+        labels = [clean_labels, scenario.labels]
 
-        def readers():
-            return [
-                StreamReader(clean_data, clean_labels),
-                StreamReader(scenario.stream, scenario.labels),
-            ]
-
-        fleet = MultiStreamRuntime(
-            fitted_knn, adaptation=AdaptationPolicy()
-        ).run(readers())
+        fleet = adaptive_pipeline.deploy_fleet(streams, labels=labels)
         clean_result, drifted_result = fleet[0], fleet[1]
 
         assert clean_result.adaptation_events == []
@@ -140,7 +154,7 @@ class TestFleetPerStreamAdaptation:
         # The clean lane stays bit-identical to the same fleet without
         # adaptation (same batch composition; adaptation is the only
         # variable -- a solo run would differ by BLAS batch-shape ULPs).
-        frozen_fleet = MultiStreamRuntime(fitted_knn).run(readers())
+        frozen_fleet = frozen_pipeline.deploy_fleet(streams, labels=labels)
         assert np.array_equal(frozen_fleet[0].scores, clean_result.scores,
                               equal_nan=True)
         assert np.array_equal(frozen_fleet[0].alarms, clean_result.alarms)
@@ -152,15 +166,15 @@ class TestFleetPerStreamAdaptation:
         assert np.unique(drifted_trace[np.isfinite(drifted_trace)]).size > 1
 
     def test_fleet_matches_single_stream_adaptation(self, fitted_knn,
+                                                    adaptive_pipeline,
                                                     mean_shift_scenario):
-        """One drifted stream adapts identically under both runtimes."""
+        """One drifted stream adapts identically under both drivers."""
         scenario = mean_shift_scenario
         solo = StreamingRuntime(
             fitted_knn, adaptation=AdaptationPolicy()
         ).run(StreamReader(scenario.stream, scenario.labels))
-        fleet = MultiStreamRuntime(
-            fitted_knn, adaptation=AdaptationPolicy()
-        ).run([StreamReader(scenario.stream, scenario.labels)])
+        fleet = adaptive_pipeline.deploy_fleet([scenario.stream],
+                                               labels=[scenario.labels])
         assert np.array_equal(solo.scores, fleet[0].scores, equal_nan=True)
         assert np.array_equal(solo.alarms, fleet[0].alarms)
         assert [e.new_threshold for e in solo.adaptation_events] == \
@@ -168,20 +182,22 @@ class TestFleetPerStreamAdaptation:
 
 
 class TestAdaptationRequiresThreshold:
-    def test_streaming_runtime_raises_without_threshold(self, clean_stream):
+    @pytest.fixture(scope="class")
+    def uncalibrated(self, clean_stream):
+        data, _ = clean_stream
+        return _knn_pipeline(data.shape[1], AdaptationSpec(),
+                             max_reference_points=100).fit(data[:200])
+
+    def test_streaming_runtime_raises_without_threshold(self, uncalibrated,
+                                                        clean_stream):
         data, labels = clean_stream
-        detector = KNNDetector(KNNConfig(n_channels=data.shape[1],
-                                         max_reference_points=100))
-        detector.fit(data[:200])
-        runtime = StreamingRuntime(detector, adaptation=AdaptationPolicy())
+        runtime = StreamingRuntime(uncalibrated.detector,
+                                   adaptation=AdaptationPolicy())
         with pytest.raises(ValueError, match="initial CalibratedThreshold"):
             runtime.run(StreamReader(data, labels))
 
-    def test_fleet_runtime_raises_without_threshold(self, clean_stream):
+    def test_fleet_runtime_raises_without_threshold(self, uncalibrated,
+                                                    clean_stream):
         data, labels = clean_stream
-        detector = KNNDetector(KNNConfig(n_channels=data.shape[1],
-                                         max_reference_points=100))
-        detector.fit(data[:200])
-        runtime = MultiStreamRuntime(detector, adaptation=AdaptationPolicy())
         with pytest.raises(ValueError, match="initial CalibratedThreshold"):
-            runtime.run([StreamReader(data, labels)])
+            uncalibrated.deploy_fleet([data], labels=[labels])

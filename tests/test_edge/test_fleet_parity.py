@@ -1,11 +1,12 @@
 """Score-parity suite: batched multi-stream fleet vs the sequential runtime.
 
-For every detector in the study, :class:`repro.edge.MultiStreamRuntime` must
+For every detector in the study, :meth:`repro.pipeline.Pipeline.deploy_fleet`
+(sessions + micro-batcher driven by :func:`repro.serve.replay_streams`) must
 produce exactly the scores that :class:`repro.edge.StreamingRuntime` produces
 when run once per stream -- bit-identical values, the same NaN prefix before
 the context window fills, the same ``max_samples`` budget and the same
-thresholded alarms.  This is the contract that lets the fleet engine replace
-the sequential path everywhere.
+thresholded alarms.  This is the contract that lets the batched replay
+replace the sequential path everywhere.
 """
 
 import time
@@ -13,10 +14,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.baselines.registry import DETECTOR_NAMES, DetectorRegistry
 from repro.core import ThresholdCalibrator
 from repro.data import StreamReader
-from repro.edge import MultiStreamRuntime, StreamingRuntime
+from repro.edge import StreamingHistogram, StreamingRuntime
+from repro.eval import DETECTOR_NAMES, study_specs
+from repro.pipeline import FleetStats, Pipeline
 
 N_CHANNELS = 3
 WINDOW = 8
@@ -45,9 +47,9 @@ def train_stream():
 
 
 @pytest.fixture(scope="module")
-def detectors(train_stream):
+def pipelines(train_stream):
     """All six study detectors, trained tiny but through their real code paths."""
-    registry = DetectorRegistry(
+    specs = study_specs(
         n_channels=N_CHANNELS,
         window=WINDOW,
         neural_epochs=1,
@@ -58,7 +60,8 @@ def detectors(train_stream):
         lstm_hidden=8,
         seed=0,
     )
-    return {spec.name: spec.build().fit(train_stream) for spec in registry.specs()}
+    return {name: Pipeline.from_spec(spec).fit(train_stream)
+            for name, spec in specs.items()}
 
 
 @pytest.fixture(scope="module")
@@ -75,11 +78,17 @@ def readers(streams):
     return [StreamReader(data, labels=labels) for data, labels in streams]
 
 
+def _deploy(pipeline, readers, **kwargs):
+    return pipeline.deploy_fleet([reader.data for reader in readers],
+                                 labels=[reader.labels for reader in readers],
+                                 **kwargs)
+
+
 class TestScoreParity:
     @pytest.mark.parametrize("name", DETECTOR_NAMES)
-    def test_batched_scores_match_sequential(self, detectors, readers, name):
-        detector = detectors[name]
-        fleet = MultiStreamRuntime(detector).run(readers)
+    def test_batched_scores_match_sequential(self, pipelines, readers, name):
+        detector = pipelines[name].detector
+        fleet = _deploy(pipelines[name], readers)
         assert len(fleet) == len(readers)
         for reader, fleet_result in zip(readers, fleet):
             sequential = StreamingRuntime(detector).run(reader)
@@ -94,19 +103,21 @@ class TestScoreParity:
             )
             assert fleet_result.samples_scored == sequential.samples_scored
             assert len(fleet_result.latencies_s) == fleet_result.samples_scored
+            np.testing.assert_array_equal(fleet_result.labels, reader.labels)
 
-    def test_nan_prefix_length_matches_window_semantics(self, detectors, readers):
+    def test_nan_prefix_length_matches_window_semantics(self, pipelines, readers):
         """Window-state detectors score one sample earlier than forecasters."""
-        for name, detector in detectors.items():
-            fleet = MultiStreamRuntime(detector).run(readers)
+        for name, pipeline in pipelines.items():
+            detector = pipeline.detector
+            fleet = _deploy(pipeline, readers)
             first_valid = int(np.flatnonzero(np.isfinite(fleet[0].scores))[0])
             expected = detector.window - 1 if detector.scores_current_sample \
                 else detector.window
             assert first_valid == expected, name
 
-    def test_max_samples_budget_matches_sequential(self, detectors, readers):
-        detector = detectors["VARADE"]
-        fleet = MultiStreamRuntime(detector).run(readers, max_samples=10)
+    def test_max_samples_budget_matches_sequential(self, pipelines, readers):
+        detector = pipelines["VARADE"].detector
+        fleet = _deploy(pipelines["VARADE"], readers, max_samples=10)
         for reader, fleet_result in zip(readers, fleet):
             sequential = StreamingRuntime(detector).run(reader, max_samples=10)
             assert fleet_result.samples_scored == sequential.samples_scored <= 10
@@ -115,69 +126,68 @@ class TestScoreParity:
                 rtol=0.0, atol=0.0, equal_nan=True,
             )
 
-    def test_threshold_alarms_match_sequential(self, detectors, readers, train_stream):
-        detector = detectors["VARADE"]
+    def test_threshold_alarms_match_sequential(self, pipelines, readers, train_stream):
+        detector = pipelines["VARADE"].detector
         normal_scores = detector.score_stream(train_stream).valid_scores()
         threshold = ThresholdCalibrator(quantile=0.9).calibrate(normal_scores)
-        fleet = MultiStreamRuntime(detector, threshold=threshold).run(readers)
+        detector.set_threshold(threshold)
+        try:
+            fleet = _deploy(pipelines["VARADE"], readers)
+        finally:
+            detector.set_threshold(None)
+        assert sum(int(result.alarms.sum()) for result in fleet) > 0
         for reader, fleet_result in zip(readers, fleet):
             sequential = StreamingRuntime(detector, threshold=threshold).run(reader)
             np.testing.assert_array_equal(fleet_result.alarms, sequential.alarms)
+            np.testing.assert_array_equal(fleet_result.threshold_trace,
+                                          sequential.threshold_trace)
 
 
 class TestFleetRuntime:
-    def test_rejects_empty_fleet(self, detectors):
-        with pytest.raises(ValueError):
-            MultiStreamRuntime(detectors["VARADE"]).run([])
+    def test_rejects_empty_fleet(self, pipelines):
+        with pytest.raises(ValueError, match="at least one stream"):
+            pipelines["VARADE"].deploy_fleet([])
 
-    def test_rejects_mixed_channel_counts(self, detectors):
-        readers = [
-            StreamReader(np.zeros((30, N_CHANNELS))),
-            StreamReader(np.zeros((30, N_CHANNELS + 1))),
-        ]
+    def test_rejects_mixed_channel_counts(self, pipelines):
+        streams = [np.zeros((30, N_CHANNELS)), np.zeros((30, N_CHANNELS + 1))]
         with pytest.raises(ValueError, match="channel count"):
-            MultiStreamRuntime(detectors["VARADE"]).run(readers)
+            pipelines["VARADE"].deploy_fleet(streams)
 
-    def test_stats_account_for_every_scored_sample(self, detectors, readers):
-        fleet = MultiStreamRuntime(detectors["VARADE"]).run(readers)
+    def test_stats_account_for_every_scored_sample(self, pipelines, readers):
+        fleet = _deploy(pipelines["VARADE"], readers)
         stats = fleet.stats
-        assert stats.n_streams == len(readers)
-        assert stats.ticks == max(STREAM_LENGTHS)
         assert stats.samples_scored == sum(r.samples_scored for r in fleet)
-        assert stats.batch_sizes.sum() == stats.samples_scored
-        assert stats.batch_sizes.max() <= len(readers)
-        assert stats.batch_latencies_s.shape == stats.batch_sizes.shape
+        assert 0 < stats.flushes <= stats.samples_scored
         assert 0.0 < stats.scoring_time_s <= stats.wall_time_s
         assert stats.samples_per_second > 0.0
         assert 1.0 <= stats.mean_batch_size <= len(readers)
 
-    def test_short_stream_drops_out_of_the_batch(self, detectors, readers):
-        """Once the shortest stream ends, batches shrink but scoring goes on."""
-        fleet = MultiStreamRuntime(detectors["VARADE"]).run(readers)
-        assert fleet.stats.batch_sizes[0] == len(readers)
-        assert fleet.stats.batch_sizes[-1] == 1  # only the longest stream left
+    def test_short_stream_drops_out_of_the_batch(self, pipelines, readers):
+        """Once the shortest stream ends, the rest of the fleet scores on."""
+        fleet = _deploy(pipelines["VARADE"], readers)
         shortest = int(np.argmin(STREAM_LENGTHS))
         assert fleet[shortest].samples_scored < fleet[0].samples_scored
+        assert np.isfinite(fleet[0].scores[-1])
 
-    def test_single_stream_fleet_degenerates_to_sequential(self, detectors, readers):
-        detector = detectors["AE"]
-        fleet = MultiStreamRuntime(detector).run(readers[:1])
+    def test_single_stream_fleet_degenerates_to_sequential(self, pipelines, readers):
+        detector = pipelines["AE"].detector
+        fleet = _deploy(pipelines["AE"], readers[:1])
         sequential = StreamingRuntime(detector).run(readers[0])
         np.testing.assert_allclose(
             fleet[0].scores, sequential.scores, rtol=0.0, atol=0.0, equal_nan=True,
         )
 
-    def test_mid_run_exhaustion_drains_and_others_continue(self, detectors):
-        """Lockstep-exhaustion regression: streams ending mid-run (including
-        one shorter than the context window) drain and close while every
-        surviving stream keeps scoring to full sequential parity."""
-        detector = detectors["VARADE"]
+    def test_mid_run_exhaustion_drains_and_others_continue(self, pipelines):
+        """Exhaustion regression: streams ending mid-run (including one
+        shorter than the context window) drain while every surviving
+        stream keeps scoring to full sequential parity."""
+        detector = pipelines["VARADE"].detector
         lengths = (WINDOW - 2, WINDOW, 2 * WINDOW + 1, 45)
         exhaust_readers = [
             StreamReader(_make_stream(length, seed=80 + index)[0])
             for index, length in enumerate(lengths)
         ]
-        fleet = MultiStreamRuntime(detector).run(exhaust_readers)
+        fleet = _deploy(pipelines["VARADE"], exhaust_readers)
         for reader, fleet_result in zip(exhaust_readers, fleet):
             sequential = StreamingRuntime(detector).run(reader)
             np.testing.assert_allclose(
@@ -186,53 +196,48 @@ class TestFleetRuntime:
             )
             assert fleet_result.samples_scored == sequential.samples_scored
         # The sub-window stream never scored, but did not stall the fleet:
-        # the longest stream scored through its final tick.
+        # the longest stream scored through its final sample.
         assert fleet[0].samples_scored == 0
         assert np.isfinite(fleet[3].scores[-1])
-        assert fleet.stats.ticks == max(lengths)
-        assert fleet.stats.batch_sizes[-1] == 1
 
     def test_empty_fleet_stats_are_finite_zeros(self):
-        """Regression: histogram-less / zero-sample FleetStats used to
-        report nan tail statistics."""
-        from repro.edge.fleet import FleetStats
-
-        stats = FleetStats(n_streams=0, ticks=0, samples_scored=0,
+        """Regression: zero-sample FleetStats used to report nan tail
+        statistics."""
+        stats = FleetStats(samples_scored=0, flushes=0,
                            scoring_time_s=0.0, wall_time_s=0.0,
-                           batch_sizes=np.zeros(0, dtype=np.int64),
-                           batch_latencies_s=np.zeros(0))
-        assert stats.latency_p99_s == 0.0
-        assert stats.occupancy_p50 == 0.0
+                           latency_histogram=StreamingHistogram.log_spaced(),
+                           occupancy_histogram=StreamingHistogram.linear(0.5, 4.5, 4))
+        assert stats.latency_histogram.p99 == 0.0
+        assert stats.occupancy_histogram.p50 == 0.0
         assert stats.mean_batch_size == 0.0
+        assert stats.samples_per_second == 0.0
 
     def test_stats_histograms_summarise_without_trace_retention(
-            self, detectors, readers):
-        """FleetStats carries streaming latency/occupancy histograms whose
-        summaries agree with the retained per-batch arrays."""
-        fleet = MultiStreamRuntime(detectors["VARADE"]).run(readers)
+            self, pipelines, readers):
+        """FleetStats carries the batcher's streaming latency/occupancy
+        histograms: one latency entry per scored sample, one occupancy
+        entry per flush."""
+        fleet = _deploy(pipelines["VARADE"], readers)
         stats = fleet.stats
-        assert stats.latency_histogram is not None
         assert stats.latency_histogram.count == stats.samples_scored
-        assert stats.occupancy_histogram.count == len(stats.batch_sizes)
-        # Quantiles are exact to one bin; the histogram median of the batch
-        # occupancy must straddle the retained exact values.
-        assert stats.batch_sizes.min() <= stats.occupancy_p50 \
-            <= stats.batch_sizes.max()
-        assert 0.0 < stats.latency_p99_s <= stats.latency_histogram.max * (1 + 1e-12)
+        assert stats.occupancy_histogram.count == stats.flushes
+        assert 1.0 <= stats.occupancy_histogram.p50 <= len(readers)
+        assert 0.0 < stats.latency_histogram.p99 \
+            <= stats.latency_histogram.max * (1 + 1e-12)
         summary = stats.latency_histogram.summary()
         assert summary["count"] == stats.samples_scored
         assert summary["p50"] <= summary["p95"] <= summary["p99"]
 
 
 @pytest.mark.slow
-def test_fleet_is_not_slower_than_sequential(detectors):
+def test_fleet_is_not_slower_than_sequential(pipelines):
     """Throughput guard: 8 batched streams must beat 8 sequential runs.
 
     The strict 3x acceptance assertion lives in
     ``benchmarks/bench_fleet_throughput.py``; this slow-tier test only guards
     against the batched path regressing below the sequential one.
     """
-    detector = detectors["VARADE"]
+    detector = pipelines["VARADE"].detector
     readers = [StreamReader(_make_stream(220, seed=60 + i)[0]) for i in range(8)]
 
     start = time.perf_counter()
@@ -244,7 +249,7 @@ def test_fleet_is_not_slower_than_sequential(detectors):
     sequential_time = time.perf_counter() - start
 
     start = time.perf_counter()
-    fleet = MultiStreamRuntime(detector).run(readers)
+    fleet = _deploy(pipelines["VARADE"], readers)
     fleet_time = time.perf_counter() - start
 
     assert fleet.stats.samples_scored > 0

@@ -12,9 +12,10 @@ from repro.eval import (
     paper_scale_costs,
     run_full_experiment,
     run_variational_ablation,
+    study_specs,
 )
 from repro.eval.experiment import evaluate_detector
-from repro.baselines import DetectorRegistry
+from repro.pipeline import Pipeline
 
 
 class TestPaperScaleCosts:
@@ -30,10 +31,8 @@ class TestPaperScaleCosts:
 
 class TestEvaluateDetector:
     def test_produces_valid_metrics(self, tiny_dataset):
-        registry = DetectorRegistry(n_channels=tiny_dataset.n_channels, window=16,
-                                    neural_epochs=1, max_train_windows=80,
-                                    varade_epochs=2, varade_warmup_epochs=1)
-        detector = registry.build_knn()
+        specs = study_specs(n_channels=tiny_dataset.n_channels, window=16)
+        detector = Pipeline.from_spec(specs["kNN"]).build_detector()
         evaluation = evaluate_detector(detector, tiny_dataset)
         assert 0.0 <= evaluation.auc_roc <= 1.0
         assert 0.0 <= evaluation.average_precision <= 1.0

@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.baselines import DetectorRegistry
 from repro.core import ThresholdCalibrator
 from repro.data import StreamReader
 from repro.edge import EdgeEstimator, JETSON_XAVIER_NX, StreamingRuntime
-from repro.eval import paper_scale_costs, roc_auc_score
+from repro.eval import paper_scale_costs, roc_auc_score, study_specs
+from repro.pipeline import Pipeline
 
 
 class TestEndToEndPipeline:
     @pytest.fixture(scope="class")
-    def registry(self, tiny_dataset):
-        return DetectorRegistry(
+    def specs(self, tiny_dataset):
+        return study_specs(
             n_channels=tiny_dataset.n_channels,
             window=16,
             neural_epochs=2,
@@ -23,8 +23,8 @@ class TestEndToEndPipeline:
             varade_warmup_epochs=3,
         )
 
-    def test_varade_full_pipeline(self, tiny_dataset, registry):
-        detector = registry.build_varade()
+    def test_varade_full_pipeline(self, tiny_dataset, specs):
+        detector = Pipeline.from_spec(specs["VARADE"]).build_detector()
         detector.fit(tiny_dataset.train)
         result = detector.score_stream(tiny_dataset.test)
         scores, labels = result.aligned(tiny_dataset.test_labels)
@@ -47,9 +47,9 @@ class TestEndToEndPipeline:
         assert metrics.inference_frequency_hz > 1.0
         assert metrics.power_w > JETSON_XAVIER_NX.idle_power_w
 
-    def test_outlier_baselines_complete_pipeline(self, tiny_dataset, registry):
-        for build in (registry.build_knn, registry.build_isolation_forest):
-            detector = build()
+    def test_outlier_baselines_complete_pipeline(self, tiny_dataset, specs):
+        for name in ("kNN", "Isolation Forest"):
+            detector = Pipeline.from_spec(specs[name]).build_detector()
             detector.fit(tiny_dataset.train)
             result = detector.score_stream(tiny_dataset.test)
             scores, labels = result.aligned(tiny_dataset.test_labels)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import ThresholdCalibrator, TrainingConfig, VaradeConfig, VaradeDetector
 from repro.data import StreamReader, build_synthetic_anomaly_dataset
-from repro.edge import MultiStreamRuntime, StreamingRuntime
+from repro.edge import StreamingRuntime
 from repro.pipeline import (AdaptationSpec, CalibrationSpec, DeploymentSpec,
                             DetectorSpec, Pipeline, PipelineStageError,
                             QuantizationSpec, RuntimeSpec, SpecError)
@@ -195,15 +195,16 @@ def test_deploy_stream_honours_max_samples(dataset):
                                   max_samples=10).samples_scored == 10
 
 
-def test_deploy_fleet_matches_raw_fleet_runtime(dataset):
+def test_deploy_fleet_matches_per_stream_runtime(dataset):
     pipeline = Pipeline.from_spec(_varade_spec()).fit(dataset.train).calibrate()
     streams = [dataset.test[:150], dataset.test[50:200]]
     fleet = pipeline.deploy_fleet(streams)
-    raw = MultiStreamRuntime(pipeline.detector).run(
-        [StreamReader(stream, sample_rate=50.0) for stream in streams]
-    )
-    for ours, reference in zip(fleet, raw):
+    assert fleet.stats.samples_scored == sum(r.samples_scored for r in fleet)
+    for ours, stream in zip(fleet, streams):
+        reference = StreamingRuntime(pipeline.detector).run(
+            StreamReader(stream, sample_rate=50.0))
         assert np.array_equal(ours.scores, reference.scores, equal_nan=True)
+        assert np.array_equal(ours.alarms, reference.alarms)
     with pytest.raises(ValueError, match="one to one"):
         pipeline.deploy_fleet(streams, labels=[None])
 

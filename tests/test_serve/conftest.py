@@ -9,8 +9,9 @@ modules can import it directly.
 
 import pytest
 
-from repro.baselines.registry import DetectorRegistry
 from repro.data import StreamReader
+from repro.eval import study_specs
+from repro.pipeline import Pipeline
 
 from serve_helpers import N_CHANNELS, STREAM_LENGTHS, WINDOW, make_stream
 
@@ -23,7 +24,7 @@ def train_stream():
 @pytest.fixture(scope="session")
 def detectors(train_stream):
     """All six study detectors, trained tiny but through their real code paths."""
-    registry = DetectorRegistry(
+    specs = study_specs(
         n_channels=N_CHANNELS,
         window=WINDOW,
         neural_epochs=1,
@@ -34,7 +35,8 @@ def detectors(train_stream):
         lstm_hidden=8,
         seed=0,
     )
-    return {spec.name: spec.build().fit(train_stream) for spec in registry.specs()}
+    return {name: Pipeline.from_spec(spec).build_detector().fit(train_stream)
+            for name, spec in specs.items()}
 
 
 @pytest.fixture(scope="session")

@@ -21,12 +21,13 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.baselines.registry import DETECTOR_NAMES
 from repro.core import ThresholdCalibrator
 from repro.data import StreamReader
 from repro.drift import AdaptationPolicy
-from repro.edge import MultiStreamRuntime, StreamingRuntime
-from repro.serve import AnomalyService, ServiceConfig
+from repro.edge import StreamingRuntime
+from repro.eval import DETECTOR_NAMES
+from repro.serve import (AnomalyService, MicroBatcher, ScoringSession,
+                         ServiceConfig, replay_streams)
 
 from serve_helpers import unaligned_schedule
 
@@ -167,10 +168,17 @@ class TestDriftLaneParity:
 class TestFleetShimParity:
     def test_reimplemented_fleet_matches_service_and_sequential(
             self, detectors, readers):
-        """The MultiStreamRuntime shim and the service share one scoring
+        """The offline replay loop and the service share one scoring
         path -- all three surfaces agree bit for bit."""
         detector = detectors["VARADE"]
-        fleet = MultiStreamRuntime(detector).run(readers)
+        sessions = [ScoringSession(detector, f"stream-{stream}")
+                    for stream in range(len(readers))]
+        batcher = MicroBatcher(detector, max_batch=len(readers),
+                               max_delay_ms=0.0)
+        for _ in replay_streams(sessions, [reader.data for reader in readers],
+                                batcher):
+            pass
+        fleet = [session.result() for session in sessions]
         handles = _run_service(
             detector, [(reader.data, reader.labels) for reader in readers])
         for stream, reader in enumerate(readers):
