@@ -124,7 +124,7 @@ def _run_fleet(artifact, n_workers, streams):
     """Total wall time for 64 bursty streams through an n-worker cluster,
     driven by N_DRIVERS concurrent client connections."""
     configs = [WorkerConfig(name=f"w{i}", artifacts={"default": artifact},
-                            incremental=False)
+                            service={"incremental": False})
                for i in range(n_workers)]
     stream_ids = sorted(streams)
     chunks = [stream_ids[i::N_DRIVERS] for i in range(N_DRIVERS)]

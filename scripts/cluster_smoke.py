@@ -7,12 +7,13 @@ entry point -- worker subprocesses, shard router, the lot:
 
 1. ``repro train --fast`` + ``repro package`` build the default-tenant
    artifact; a second workdir (seed 7) builds the ``beta`` tenant's;
-2. ``repro serve --workers 2 --tenant beta=...`` starts the fleet on an
-   ephemeral endpoint (port file handshake), printing one
+2. ``repro serve --workers 2 --tenant beta=... --protocol binary`` starts
+   the fleet on an ephemeral endpoint (port file handshake), printing one
    ``serve: worker <name> pid <pid>`` line per shard;
-3. one binary client opens a stream per tenant through the single front
-   door, replays each spec's own seeded-anomaly test split, and asserts
-   alarms come back for both tenants;
+3. a JSON client is refused by the binary-only front door (one structured
+   error, then the connection closes); one binary client opens a stream
+   per tenant through it, replays each spec's own seeded-anomaly test
+   split, and asserts alarms come back for both tenants;
 4. a worker is SIGKILLed mid-stream; pushes must keep succeeding (the
    router respawns the shard and re-opens its sessions) and the fleet
    snapshot must show the restart with both workers live again;
@@ -110,7 +111,7 @@ def _await_file(path: Path, server: subprocess.Popen, what: str) -> None:
 def main() -> int:
     sys.path.insert(0, str(REPO / "src"))
     from repro.cli import fast_spec
-    from repro.serve import BinaryClient
+    from repro.serve import BinaryClient, TCPClient
 
     workdir = Path(sys.argv[1]) if len(sys.argv) > 1 \
         else Path(tempfile.mkdtemp(prefix="repro-cluster-smoke-"))
@@ -133,6 +134,7 @@ def main() -> int:
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--workdir", str(workdir),
          "--workers", "2", "--tenant", f"beta={beta_artifact}",
+         "--protocol", "binary",
          "--port", "0", "--port-file", str(port_file),
          "--metrics-port", "0",
          "--metrics-port-file", str(metrics_port_file),
@@ -147,6 +149,19 @@ def main() -> int:
         pids = _worker_pids(lines)
         assert len(pids) == 2, f"expected 2 worker pid lines, saw {pids}"
         print(f"cluster-smoke: router on 127.0.0.1:{port}, workers {pids}")
+
+        # -- --protocol reaches the router: JSON clients are refused ------- #
+        with TCPClient(port=port) as json_client:
+            refusal = json_client.request({"op": "ping"})
+            assert not refusal["ok"], refusal
+            assert "json protocol is disabled" in refusal["error"], refusal
+            try:
+                json_client.request({"op": "ping"})
+            except ConnectionError:
+                pass
+            else:
+                raise AssertionError("the refused connection stayed open")
+        print("cluster-smoke: binary-only front door refused a JSON client")
 
         with BinaryClient(port=port) as client:
             assert client.ping()["ok"]

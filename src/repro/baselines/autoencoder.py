@@ -147,16 +147,6 @@ class AutoencoderDetector(AnomalyDetector):
             outputs = self.network(inputs)
         return np.transpose(outputs.numpy(), (0, 2, 1))
 
-    def score_window(self, window: np.ndarray, target: np.ndarray) -> float:
-        """Reconstruction error of the most recent sample in the window.
-
-        Delegates to :meth:`score_windows_batch` (one shared path).
-        """
-        return float(self.score_windows_batch(
-            np.asarray(window, dtype=np.float64)[None, ...],
-            np.asarray(target, dtype=np.float64).reshape(1, -1),
-        )[0])
-
     def score_windows_batch(self, windows: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Vectorized reconstruction-error scoring for a batch of windows."""
         self._check_fitted()

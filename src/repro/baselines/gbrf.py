@@ -122,13 +122,6 @@ class GBRFDetector(AnomalyDetector):
         """Forecast the (possibly truncated) next sample for a batch of contexts."""
         return self.model.predict(self._features(windows))
 
-    def score_window(self, window: np.ndarray, target: np.ndarray) -> float:
-        """One-step scoring via :meth:`score_windows_batch` (one shared path)."""
-        return float(self.score_windows_batch(
-            np.asarray(window, dtype=np.float64)[None, ...],
-            np.asarray(target, dtype=np.float64).reshape(1, -1),
-        )[0])
-
     def score_windows_batch(self, windows: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Vectorized forecast-residual scoring for a batch of windows."""
         self._check_fitted()

@@ -69,13 +69,6 @@ class IsolationForestDetector(AnomalyDetector):
         return self
 
     # -- scoring -------------------------------------------------------- #
-    def score_window(self, window: np.ndarray, target: np.ndarray) -> float:
-        """One-step scoring via :meth:`score_windows_batch` (one shared path)."""
-        return float(self.score_windows_batch(
-            np.asarray(window, dtype=np.float64)[None, ...],
-            np.asarray(target, dtype=np.float64).reshape(1, -1),
-        )[0])
-
     def score_windows_batch(self, windows: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Vectorized path-length scoring: one forest pass for all rows."""
         self._check_fitted()

@@ -286,74 +286,133 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Serve the packaged artifact over the wire layer (``repro serve``)."""
-    import asyncio
+#: ``repro serve`` flags that configure one process's own state and so are
+#: refused -- never silently dropped -- once ``--workers``/``--tenant``
+#: shards the service across worker processes.
+_CLUSTER_REJECTED_FLAGS = {
+    "trace_out": "tracing is per-worker state (use the trace op against an "
+                 "individual worker endpoint)",
+    "trace_events": "tracing is per-worker state (use the trace op against "
+                    "an individual worker endpoint)",
+    "alarm_log": "it runs inside a single service process; alarm events "
+                 "still stream to every subscribed client connection",
+}
 
-    from .serve import (PROTOCOLS, AnomalyWireServer, ServiceConfig,
-                        make_transport, write_endpoint_file)
 
-    workdir: Path = args.workdir
-    pipeline = _load_serving_pipeline(workdir)
-    service_spec = pipeline.spec.service
-    cluster_spec = None if service_spec is None else service_spec.cluster
+@dataclasses.dataclass
+class _ServeEndpoint:
+    """What ``repro serve`` listens on and serves, single process or
+    cluster: each value is the flag, else ``spec.service``'s, else the
+    default."""
+
+    host: str
+    transport: Any                      #: the listener's repro.serve.Transport
+    protocols: tuple
+    port_file: Optional[Path]
+    metrics_port: Optional[int]
+    metrics_port_file: Optional[Path]
+    max_seconds: Optional[float]
+    alarm_log: Optional[str]
+    trace_out: Optional[Path]
+    #: ServiceConfig overrides on top of ``spec.service``
+    service: dict
+    #: worker processes behind a shard router; ``None`` = one process
+    workers: Optional[int]
+    #: extra tenant name -> packaged artifact (cluster mode)
+    tenants: dict
+
+
+def _resolve_endpoint(args: argparse.Namespace,
+                      service_spec: Optional[ServiceSpec]) -> _ServeEndpoint:
+    """The one place ``repro serve`` flags are read."""
+    from .serve import PROTOCOLS, ServiceConfig, make_transport
+
+    def knob(name: str, default: Any = None) -> Any:
+        flag = getattr(args, name)
+        if flag is not None:
+            return flag
+        value = getattr(service_spec, name, None)
+        return default if value is None else value
+
+    cluster_spec = getattr(service_spec, "cluster", None)
     workers = args.workers
     if workers is None and cluster_spec is not None:
         workers = cluster_spec.workers
-    if (workers is not None and workers > 1) or args.tenant:
-        return _cmd_serve_cluster(args, workdir, pipeline,
-                                  workers if workers is not None else 2)
-    overrides = {}
-    for name in ("max_batch", "max_delay_ms", "max_queue", "backpressure",
-                 "trace_events"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
+    tenants = {}
+    for entry in args.tenant or []:
+        name, sep, path = entry.partition("=")
+        if not sep or not name or not path:
+            raise CLIUsageError(
+                f"--tenant wants NAME=ARTIFACT_DIR, got {entry!r}")
+        if name in tenants or name == "default":
+            raise CLIUsageError(f"duplicate tenant {name!r}")
+        if not (Path(path) / MANIFEST_NAME).is_file():
+            raise CLIUsageError(
+                f"tenant {name!r}: no artifact manifest under {path}")
+        tenants[name] = Path(path)
+    if tenants and workers is None:
+        workers = 2
+    if not tenants and (workers is None or workers <= 1):
+        workers = None
+    if workers is not None:
+        for name, why in _CLUSTER_REJECTED_FLAGS.items():
+            if getattr(args, name) is not None:
+                raise CLIUsageError(
+                    f"--{name.replace('_', '-')} is not supported with "
+                    f"--workers: {why}")
+
+    metrics_port = knob("metrics_port")
+    overrides = {name: getattr(args, name)
+                 for name in ("max_batch", "max_delay_ms", "max_queue",
+                              "backpressure", "trace_events")
+                 if getattr(args, name) is not None}
     if args.no_incremental:
         overrides["incremental"] = False
-
-    def knob(flag, spec_value, default):
-        if flag is not None:
-            return flag
-        if service_spec is not None:
-            return spec_value
-        return default
-
-    metrics_port = knob(args.metrics_port,
-                        getattr(service_spec, "metrics_port", None), None)
-    alarm_log = knob(args.alarm_log,
-                     getattr(service_spec, "alarm_log", None), None)
     # A scrape port or a trace dump needs the registry/ring behind it.
     if args.observability or metrics_port is not None \
             or args.trace_out is not None:
         overrides["observability"] = True
-    if service_spec is not None:
-        config = service_spec.config(**overrides)
-    else:
-        config = ServiceConfig(**overrides)
-
-    host = knob(args.host, getattr(service_spec, "host", None), "127.0.0.1")
-    port = knob(args.port, getattr(service_spec, "port", None), 7007)
-    transport_kind = knob(args.transport,
-                          getattr(service_spec, "transport", None), "tcp")
-    uds_path = knob(args.uds_path,
-                    getattr(service_spec, "uds_path", None), None)
-    protocol = knob(args.protocol,
-                    getattr(service_spec, "protocol", None), "auto")
-    protocols = PROTOCOLS if protocol == "auto" else (protocol,)
+    host = knob("host", "127.0.0.1")
+    protocol = knob("protocol", "auto")
     try:
-        transport = make_transport(transport_kind, host=host, port=port,
-                                   uds_path=uds_path)
+        ServiceConfig(**overrides)      # its own validation, both modes
+        transport = make_transport(
+            knob("transport", "tcp"), host=host, port=knob("port", 7007),
+            uds_path=knob("uds_path"))
     except (ValueError, RuntimeError) as error:
         raise CLIUsageError(str(error)) from error
+    return _ServeEndpoint(
+        host=host, transport=transport,
+        protocols=PROTOCOLS if protocol == "auto" else (protocol,),
+        port_file=args.port_file, metrics_port=metrics_port,
+        metrics_port_file=args.metrics_port_file,
+        max_seconds=args.max_seconds, alarm_log=knob("alarm_log"),
+        trace_out=args.trace_out, service=overrides, workers=workers,
+        tenants=tenants)
 
+
+def _single_front(pipeline: Pipeline, endpoint: _ServeEndpoint, cleanup):
+    """One process: the wire server over the packaged artifact's service."""
+    from .serve import AnomalyWireServer
+
+    config = pipeline.service_config(**endpoint.service)
     alarm_sinks = []
-    if alarm_log is not None:
+    if endpoint.alarm_log is not None:
         from .obs import JsonlAlarmSink
 
-        alarm_sinks.append(JsonlAlarmSink(alarm_log))
+        alarm_sinks.append(JsonlAlarmSink(endpoint.alarm_log))
+        cleanup.callback(alarm_sinks[0].close)
     service = pipeline.deploy_service(config=config, alarm_sinks=alarm_sinks)
-    server = AnomalyWireServer(service, transport, protocols=protocols)
+
+    def dump_trace() -> None:
+        # Whatever the bounded trace ring holds, even on ^C.
+        if endpoint.trace_out is not None \
+                and service.observability is not None \
+                and service.observability.tracer is not None:
+            service.observability.tracer.write(endpoint.trace_out)
+            print(f"serve: trace written to {endpoint.trace_out}")
+
+    cleanup.callback(dump_trace)
     detector = pipeline.serving_detector
     threshold = getattr(detector, "threshold", None)
     print(f"serve: {detector.name} (window {detector.window}, threshold "
@@ -362,219 +421,130 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"queue<= {config.max_queue} [{config.backpressure}]"
           f"{', incremental' if config.incremental else ''}")
 
-    async def _serve() -> None:
-        ready: "asyncio.Event" = asyncio.Event()
-        task = asyncio.create_task(
-            server.serve_forever(port_file=args.port_file, ready=ready))
-        # Wait for the listener OR an early failure (e.g. the port is taken):
-        # waiting on `ready` alone would hang forever on a bind error.
-        ready_task = asyncio.create_task(ready.wait())
-        try:
-            await asyncio.wait({task, ready_task},
-                               return_when=asyncio.FIRST_COMPLETED)
-        finally:
-            ready_task.cancel()
-        if task.done():
-            await task        # propagate the startup failure
-            return
-        print(f"serve: listening on "
-              f"{transport.describe() if transport_kind == 'uds' else f'{host}:{server.bound_port}'} "
-              f"(protocols: {'/'.join(protocols)}; "
-              f"ops: open/push/close/stats/ping/metrics/trace/shutdown)",
-              flush=True)
-        httpd = None
-        if metrics_port is not None:
-            from .obs import ObservabilityHTTPServer
+    def health() -> dict:
+        return {
+            "status": "ok",
+            "fingerprint": service.artifact_fingerprint,
+            "detector": getattr(service.detector, "name",
+                                type(service.detector).__name__),
+            "live_sessions": len(service.sessions),
+        }
 
-            def _health() -> dict:
-                return {
-                    "status": "ok",
-                    "fingerprint": service.artifact_fingerprint,
-                    "detector": getattr(service.detector, "name",
-                                        type(service.detector).__name__),
-                    "live_sessions": len(service.sessions),
-                }
-
-            httpd = ObservabilityHTTPServer(
-                metrics=service.metrics_text,
-                trace=(service.trace_export_json
-                       if config.trace_events > 0 else None),
-                health=_health,
-                host=host, port=metrics_port)
-            bound = await httpd.start()
-            if args.metrics_port_file is not None:
-                # Atomic write-then-rename: a poller never reads a
-                # half-written port number.
-                write_endpoint_file(args.metrics_port_file, f"{bound}\n")
-            print(f"serve: metrics on http://{host}:{bound}/metrics",
-                  flush=True)
-        if args.max_seconds is not None:
-            async def _deadline() -> None:
-                await asyncio.sleep(args.max_seconds)
-                server.request_stop()
-            asyncio.create_task(_deadline())
-        try:
-            await task
-        finally:
-            if httpd is not None:
-                await httpd.stop()
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        pass
-    except OSError as error:
-        raise CLIUsageError(
-            f"cannot serve on {transport.describe()}: {error}") from error
-    finally:
-        # Dump whatever the bounded trace ring holds, even on ^C, then
-        # release the CLI-owned alarm sinks.
-        if args.trace_out is not None and service.observability is not None \
-                and service.observability.tracer is not None:
-            service.observability.tracer.write(args.trace_out)
-            print(f"serve: trace written to {args.trace_out}")
-        for sink in alarm_sinks:
-            sink.close()
-    print("serve: stopped")
-    return 0
+    server = AnomalyWireServer(service, endpoint.transport,
+                               protocols=endpoint.protocols)
+    return server, "ops: open/push/close/stats/ping/metrics/trace/shutdown", {
+        "metrics": service.metrics_text,
+        "trace": service.trace_export_json
+        if config.trace_events > 0 else None,
+        "health": health}
 
 
-def _cmd_serve_cluster(args: argparse.Namespace, workdir: Path,
-                       pipeline: Pipeline, workers: int) -> int:
-    """``repro serve --workers N``: shard router + worker fleet.
+def _cluster_front(pipeline: Pipeline, endpoint: _ServeEndpoint, cleanup):
+    """``--workers N``: a shard router over N worker subprocesses.
 
-    Each worker is a full serving stack in its own subprocess; the router
+    Each worker is a full serving stack in its own process; the router
     consistent-hash-partitions ``stream_id`` across them and proxies the
     unchanged single-server wire protocol, so clients connect to one
     endpoint exactly as before.
     """
-    import asyncio
-
     from .cluster import (RouterConfig, ShardRouter, WorkerConfig,
                           WorkerSupervisor)
-    from .serve import make_transport, write_endpoint_file
 
-    if args.trace_out is not None or args.trace_events is not None:
-        raise CLIUsageError(
-            "tracing is per-worker state; --trace-out/--trace-events are "
-            "not supported with --workers (use the trace op against an "
-            "individual worker endpoint)")
-    if args.alarm_log is not None:
-        raise CLIUsageError(
-            "--alarm-log runs inside a single service process and is not "
-            "supported with --workers; alarm events still stream to every "
-            "subscribed client connection")
     service_spec = pipeline.spec.service
     cluster_spec = None if service_spec is None else service_spec.cluster
-
-    artifacts = {"default": _serving_artifact(workdir, prefer_package=True)}
-    for entry in args.tenant or []:
-        name, sep, path = entry.partition("=")
-        if not sep or not name or not path:
-            raise CLIUsageError(
-                f"--tenant wants NAME=ARTIFACT_DIR, got {entry!r}")
-        if name in artifacts:
-            raise CLIUsageError(f"duplicate tenant {name!r}")
-        tenant_dir = Path(path)
-        if not (tenant_dir / MANIFEST_NAME).is_file():
-            raise CLIUsageError(
-                f"tenant {name!r}: no artifact manifest under {tenant_dir}")
-        artifacts[name] = tenant_dir
-
-    def knob(flag, spec_value, default):
-        if flag is not None:
-            return flag
-        if service_spec is not None and spec_value is not None:
-            return spec_value
-        return default
-
-    host = knob(args.host, getattr(service_spec, "host", None), "127.0.0.1")
-    port = knob(args.port, getattr(service_spec, "port", None), 7007)
-    transport_kind = knob(args.transport,
-                          getattr(service_spec, "transport", None), "tcp")
-    uds_path = knob(args.uds_path,
-                    getattr(service_spec, "uds_path", None), None)
-    metrics_port = knob(args.metrics_port,
-                        getattr(service_spec, "metrics_port", None), None)
-    try:
-        transport = make_transport(transport_kind, host=host, port=port,
-                                   uds_path=uds_path)
-    except (ValueError, RuntimeError) as error:
-        raise CLIUsageError(str(error)) from error
-
     worker_transport = "tcp" if cluster_spec is None \
         else cluster_spec.worker_transport
-    configs = []
-    for index in range(workers):
-        configs.append(WorkerConfig(
+    artifacts = {"default": pipeline.artifact_dir, **endpoint.tenants}
+    supervisor = WorkerSupervisor()
+    cleanup.callback(supervisor.stop_all)
+    print(f"serve: {pipeline.serving_detector.name} x {endpoint.workers} "
+          f"workers (tenants: {'/'.join(sorted(artifacts))}; "
+          f"worker transport: {worker_transport})")
+    for index in range(endpoint.workers):
+        handle = supervisor.spawn(WorkerConfig(
             name=f"w{index}", artifacts=dict(artifacts),
             default_tenant="default", transport=worker_transport,
-            max_batch=args.max_batch, max_delay_ms=args.max_delay_ms,
-            max_queue=args.max_queue, backpressure=args.backpressure,
-            incremental=False if args.no_incremental else None))
-    router_config = RouterConfig() if cluster_spec is None \
-        else cluster_spec.router_config()
+            service=endpoint.service))
+        print(f"serve: worker {handle.name} pid {handle.pid} "
+              f"on {handle.endpoint}", flush=True)
+    router = ShardRouter(
+        supervisor, endpoint.transport, protocols=endpoint.protocols,
+        config=RouterConfig() if cluster_spec is None
+        else cluster_spec.router_config())
+    return router, (f"1 router -> {endpoint.workers} workers; ops: "
+                    f"open/push/close/stats/snapshot/ping/metrics/shutdown"), {
+        "metrics": router.metrics_text}
 
-    supervisor = WorkerSupervisor()
-    detector = pipeline.serving_detector
-    print(f"serve: {detector.name} x {workers} workers "
-          f"(tenants: {'/'.join(sorted(artifacts))}; "
-          f"worker transport: {worker_transport})")
 
-    async def _serve(router: ShardRouter) -> None:
-        ready: "asyncio.Event" = asyncio.Event()
-        task = asyncio.create_task(
-            router.serve_forever(port_file=args.port_file, ready=ready))
-        ready_task = asyncio.create_task(ready.wait())
-        try:
-            await asyncio.wait({task, ready_task},
-                               return_when=asyncio.FIRST_COMPLETED)
-        finally:
-            ready_task.cancel()
-        if task.done():
-            await task          # propagate the startup failure
-            return
-        print(f"serve: cluster listening on "
-              f"{transport.describe() if transport_kind == 'uds' else f'{host}:{router.bound_port}'} "
-              f"(1 router -> {len(supervisor.workers)} workers; ops: "
-              f"open/push/close/stats/snapshot/ping/metrics/shutdown)",
-              flush=True)
-        httpd = None
-        if metrics_port is not None:
-            from .obs import ObservabilityHTTPServer
+async def _listen(front, endpoint: _ServeEndpoint, note: str,
+                  scrape: dict) -> None:
+    """Listen -> ready or early failure -> optional metrics httpd ->
+    optional deadline -> stop: the life of either front door."""
+    import asyncio
 
-            httpd = ObservabilityHTTPServer(metrics=router.metrics_text,
-                                            host=host, port=metrics_port)
-            bound = await httpd.start()
-            if args.metrics_port_file is not None:
-                write_endpoint_file(args.metrics_port_file, f"{bound}\n")
-            print(f"serve: fleet metrics on http://{host}:{bound}/metrics",
-                  flush=True)
-        if args.max_seconds is not None:
-            async def _deadline() -> None:
-                await asyncio.sleep(args.max_seconds)
-                router.request_stop()
-            asyncio.create_task(_deadline())
-        try:
-            await task
-        finally:
-            if httpd is not None:
-                await httpd.stop()
+    from .serve import write_endpoint_file
 
+    ready = asyncio.Event()
+    task = asyncio.create_task(
+        front.serve_forever(port_file=endpoint.port_file, ready=ready))
+    # Wait for the listener OR an early failure (e.g. the port is taken):
+    # waiting on `ready` alone would hang forever on a bind error.
+    ready_task = asyncio.create_task(ready.wait())
     try:
-        for config in configs:
-            handle = supervisor.spawn(config)
-            print(f"serve: worker {handle.name} pid {handle.pid} "
-                  f"on {handle.endpoint}", flush=True)
-        router = ShardRouter(supervisor, transport, config=router_config)
-        asyncio.run(_serve(router))
-    except KeyboardInterrupt:
-        pass
-    except OSError as error:
-        raise CLIUsageError(
-            f"cannot serve on {transport.describe()}: {error}") from error
+        await asyncio.wait({task, ready_task},
+                           return_when=asyncio.FIRST_COMPLETED)
     finally:
-        supervisor.stop_all()
+        ready_task.cancel()
+    if task.done():
+        await task        # propagate the startup failure
+        return
+    where = endpoint.transport.describe() \
+        if endpoint.transport.kind == "uds" \
+        else f"{endpoint.host}:{front.bound_port}"
+    print(f"serve: listening on {where} "
+          f"(protocols: {'/'.join(endpoint.protocols)}; {note})", flush=True)
+    httpd = None
+    if endpoint.metrics_port is not None:
+        from .obs import ObservabilityHTTPServer
+
+        httpd = ObservabilityHTTPServer(
+            host=endpoint.host, port=endpoint.metrics_port, **scrape)
+        bound = await httpd.start()
+        if endpoint.metrics_port_file is not None:
+            # Atomic write-then-rename: a poller never reads a
+            # half-written port number.
+            write_endpoint_file(endpoint.metrics_port_file, f"{bound}\n")
+        print(f"serve: metrics on http://{endpoint.host}:{bound}/metrics",
+              flush=True)
+    if endpoint.max_seconds is not None:
+        asyncio.get_running_loop().call_later(
+            endpoint.max_seconds, front.request_stop)
+    try:
+        await task
+    finally:
+        if httpd is not None:
+            await httpd.stop()
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """Serve the packaged artifact over the wire layer (``repro serve``)."""
+    import asyncio
+    import contextlib
+
+    pipeline = _load_serving_pipeline(args.workdir)
+    endpoint = _resolve_endpoint(args, pipeline.spec.service)
+    with contextlib.ExitStack() as cleanup:
+        try:
+            build = _single_front if endpoint.workers is None \
+                else _cluster_front
+            front, note, scrape = build(pipeline, endpoint, cleanup)
+            asyncio.run(_listen(front, endpoint, note, scrape))
+        except KeyboardInterrupt:
+            pass
+        except OSError as error:
+            raise CLIUsageError(
+                f"cannot serve on {endpoint.transport.describe()}: "
+                f"{error}") from error
     print("serve: stopped")
     return 0
 

@@ -6,9 +6,11 @@ client contract byte-for-byte identical:
 
 * :class:`HashRing` -- deterministic consistent-hash placement of
   ``stream_id`` onto worker names (blake2b, virtual nodes).
-* :class:`TenantWireServer` / ``python -m repro.cluster.worker`` -- a
-  wire server fronting one :class:`~repro.serve.AnomalyService` per
-  tenant artifact, with session handoff enabled.
+* :class:`WorkerConfig` / ``python -m repro.cluster.worker`` -- a
+  worker is a plain :class:`~repro.serve.AnomalyWireServer` fronting one
+  :class:`~repro.serve.AnomalyService` per tenant artifact, with session
+  handoff enabled; its whole config crosses the process boundary as one
+  JSON document.
 * :class:`WorkerSupervisor` -- subprocess lifecycle: spawn with a
   port-file handshake, health probes, restart on crash.
 * :class:`ShardRouter` -- the single front door clients connect to; a
@@ -23,8 +25,8 @@ workers depending on who computes the hash.
 """
 
 from .ring import HashRing
-from .stats import ClusterStats, merge_metrics_pages
-from .worker import TenantWireServer, WorkerConfig
+from .stats import ClusterStats
+from .worker import WorkerConfig
 from .supervisor import WorkerHandle, WorkerSupervisor
 from .router import RouterConfig, ShardRouter
 from .harness import ClusterHarness
@@ -32,8 +34,6 @@ from .harness import ClusterHarness
 __all__ = [
     "HashRing",
     "ClusterStats",
-    "merge_metrics_pages",
-    "TenantWireServer",
     "WorkerConfig",
     "WorkerHandle",
     "WorkerSupervisor",

@@ -26,7 +26,7 @@ every other shard is untouched.
 
 Fleet read-outs: ``stats`` and ``snapshot`` merge per-worker snapshots
 through :class:`~repro.cluster.ClusterStats`; ``metrics`` merges the
-workers' Prometheus pages (:func:`~repro.cluster.merge_metrics_pages`)
+workers' Prometheus pages (:func:`~repro.obs.merge_metrics_pages`)
 and appends the router's own ``repro_cluster_*`` families.
 """
 
@@ -38,16 +38,18 @@ import functools
 from contextlib import asynccontextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple, Union
+from typing import (Any, Deque, Dict, Iterable, List, Optional, Set, Tuple,
+                    Union)
 
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, merge_metrics_pages
 from ..serve import wire
-from ..serve.tcp import (_CONNECTIONS, _MalformedRequest, _error_reply,
-                         _check_op, _negotiate, _required_stream,
-                         _serve_requests, _stats_payload, write_endpoint_file)
+from ..serve.tcp import (_CONNECTIONS, PROTOCOLS, _MalformedRequest,
+                         _check_op, _checked_protocols, _error_reply,
+                         _negotiate, _required_stream, _serve_requests,
+                         _stats_payload, write_endpoint_file)
 from ..serve.transport import Transport
 from .ring import DEFAULT_VIRTUAL_NODES, HashRing
-from .stats import ClusterStats, merge_metrics_pages
+from .stats import ClusterStats
 from .supervisor import WorkerSupervisor
 from .worker import WorkerConfig
 
@@ -236,13 +238,16 @@ class ShardRouter:
 
     def __init__(self, supervisor: WorkerSupervisor, transport: Transport,
                  *, config: Optional[RouterConfig] = None,
-                 allow_shutdown: bool = True) -> None:
+                 allow_shutdown: bool = True,
+                 protocols: Iterable[str] = PROTOCOLS) -> None:
         if not supervisor.workers:
             raise ValueError("the supervisor has no workers to route to")
         self.supervisor = supervisor
         self.transport = transport
         self.config = config or RouterConfig()
         self.allow_shutdown = allow_shutdown
+        #: protocols the front door accepts, as on ``AnomalyWireServer``
+        self.protocols = _checked_protocols(protocols)
         self.ring = HashRing(supervisor.workers,
                              virtual_nodes=self.config.virtual_nodes)
         self._gate = _RWGate()
@@ -444,7 +449,8 @@ class ShardRouter:
                 conn = _ClientConn(_negotiate(reader, writer, first), writer)
                 if await _serve_requests(
                         conn.codec, writer,
-                        functools.partial(self._dispatch, conn)):
+                        functools.partial(self._dispatch, conn),
+                        protocols=self.protocols):
                     self.request_stop()
         except (ConnectionResetError, BrokenPipeError):
             pass

@@ -1,4 +1,4 @@
-"""Fleet-level read-outs: merge per-worker snapshots and metrics pages.
+"""Fleet-level read-outs: merge per-worker snapshots.
 
 Workers answer the ``snapshot`` wire op with a JSON document containing
 one :meth:`~repro.serve.ServiceStats.to_dict` blob per hosted tenant.
@@ -8,24 +8,19 @@ counters -- histograms merge bin-by-bin via
 computed from the *combined* distribution, not averaged from per-worker
 p99s (which would be meaningless).
 
-:func:`merge_metrics_pages` does the analogous job for the Prometheus
-text exposition pages: counters, gauges and summary ``_sum``/``_count``
-series sum across workers; summary *quantile* series take the
-per-worker **max** -- the conservative fleet read (the true merged
-quantile is unrecoverable from per-worker quantiles, and an alarm that
-over-reports latency beats one that hides a slow shard).
+The Prometheus pages have the analogous merge beside their renderer:
+:func:`repro.obs.merge_metrics_pages`.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping
 
 from ..edge.monitor import StreamingHistogram
 from ..serve.service import ServiceStats
 
-__all__ = ["ClusterStats", "merge_metrics_pages"]
+__all__ = ["ClusterStats"]
 
 
 def _blank_stats() -> ServiceStats:
@@ -36,35 +31,6 @@ def _blank_stats() -> ServiceStats:
         flushes=0, scoring_time_s=0.0,
         queue_delay_histogram=StreamingHistogram.log_spaced(1e-6, 60.0),
         occupancy_histogram=StreamingHistogram.linear(0.5, 1.5, 1),
-    )
-
-
-def _copy(histogram: StreamingHistogram) -> StreamingHistogram:
-    return StreamingHistogram.from_state(histogram.to_state())
-
-
-def _merge_stats(parts: List[ServiceStats]) -> ServiceStats:
-    if not parts:
-        raise ValueError("cannot merge an empty list of stats")
-    queue_delay = _copy(parts[0].queue_delay_histogram)
-    occupancy = _copy(parts[0].occupancy_histogram)
-    for other in parts[1:]:
-        queue_delay.merge(other.queue_delay_histogram)
-        occupancy.merge(other.occupancy_histogram)
-    return ServiceStats(
-        sessions_opened=sum(p.sessions_opened for p in parts),
-        sessions_closed=sum(p.sessions_closed for p in parts),
-        live_sessions=sum(p.live_sessions for p in parts),
-        samples_pushed=sum(p.samples_pushed for p in parts),
-        samples_scored=sum(p.samples_scored for p in parts),
-        samples_dropped=sum(p.samples_dropped for p in parts),
-        flushes=sum(p.flushes for p in parts),
-        scoring_time_s=sum(p.scoring_time_s for p in parts),
-        alarms_total=sum(p.alarms_total for p in parts),
-        sessions_exported=sum(p.sessions_exported for p in parts),
-        sessions_imported=sum(p.sessions_imported for p in parts),
-        queue_delay_histogram=queue_delay,
-        occupancy_histogram=occupancy,
     )
 
 
@@ -99,103 +65,9 @@ class ClusterStats:
         every = [s for parts in worker_parts.values() for s in parts]
         return cls(
             workers=len(snapshots),
-            total=_merge_stats(every) if every else _blank_stats(),
-            tenants={t: _merge_stats(p) for t, p in tenant_parts.items()},
-            per_worker={w: _merge_stats(p) for w, p in worker_parts.items()},
+            total=ServiceStats.merged(every) if every else _blank_stats(),
+            tenants={tenant: ServiceStats.merged(parts)
+                     for tenant, parts in tenant_parts.items()},
+            per_worker={worker: ServiceStats.merged(parts)
+                        for worker, parts in worker_parts.items()},
         )
-
-
-# --------------------------------------------------------------------------- #
-# Prometheus text page merging
-# --------------------------------------------------------------------------- #
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[A-Za-z_:][A-Za-z0-9_:]*)"
-    r"(?P<labels>\{[^}]*\})?"
-    r"\s+(?P<value>\S+)\s*$")
-
-
-def merge_metrics_pages(pages: List[str]) -> str:
-    """Merge Prometheus text pages from several workers into one fleet page.
-
-    Counters, gauges, and summary ``_sum``/``_count`` series are summed
-    per ``(name, labels)``; summary *quantile* series report the
-    per-worker **max** (conservative -- see the module docstring).
-    ``HELP``/``TYPE`` comments come from the first page declaring each
-    family; family and series order follows first appearance.
-    """
-    types: Dict[str, str] = {}
-    headers: Dict[str, List[str]] = {}
-    family_order: List[str] = []
-    series_order: List[Tuple[str, str]] = []
-    values: Dict[Tuple[str, str], float] = {}
-    series_family: Dict[Tuple[str, str], str] = {}
-
-    for page in pages:
-        family = ""
-        for line in page.splitlines():
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                parts = line.split(None, 3)
-                if len(parts) >= 3 and parts[1] in ("HELP", "TYPE"):
-                    family = parts[2]
-                    if family not in headers:
-                        headers[family] = []
-                        family_order.append(family)
-                    if parts[1] == "TYPE" and len(parts) == 4:
-                        types.setdefault(family, parts[3].strip())
-                    if line not in headers[family]:
-                        headers[family].append(line)
-                continue
-            match = _SAMPLE_RE.match(line)
-            if match is None:
-                continue
-            name = match.group("name")
-            labels = match.group("labels") or ""
-            try:
-                value = float(match.group("value"))
-            except ValueError:
-                continue
-            base = _family_of(name, types)
-            key = (name, labels)
-            if key not in values:
-                series_order.append(key)
-                series_family[key] = base
-                values[key] = value
-            elif _is_quantile(name, labels, base, types):
-                values[key] = max(values[key], value)
-            else:
-                values[key] += value
-
-    lines: List[str] = []
-    emitted: set = set()
-    for family in family_order:
-        lines.extend(headers[family])
-        for key in series_order:
-            if series_family.get(key) == family and key not in emitted:
-                emitted.add(key)
-                lines.append(f"{key[0]}{key[1]} {_format(values[key])}")
-    for key in series_order:    # series with no HELP/TYPE header
-        if key not in emitted:
-            emitted.add(key)
-            lines.append(f"{key[0]}{key[1]} {_format(values[key])}")
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-def _family_of(name: str, types: Dict[str, str]) -> str:
-    """Strip summary/histogram suffixes back to the declared family name."""
-    for suffix in ("_sum", "_count", "_bucket"):
-        if name.endswith(suffix) and name[: -len(suffix)] in types:
-            return name[: -len(suffix)]
-    return name
-
-
-def _is_quantile(name: str, labels: str, family: str,
-                 types: Dict[str, str]) -> bool:
-    if types.get(family) != "summary":
-        return False
-    return name == family and "quantile=" in labels
-
-
-def _format(value: float) -> str:
-    return repr(int(value)) if value == int(value) else repr(value)

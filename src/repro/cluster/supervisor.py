@@ -1,8 +1,9 @@
 """Worker process lifecycle: spawn, handshake, health, restart.
 
 The supervisor owns the OS processes of a worker fleet.  Each worker is
-spawned as ``python -m repro.cluster.worker`` with an ephemeral port and
-a per-worker *port file*; the worker writes its bound endpoint there
+spawned as ``python -m repro.cluster.worker --config <its WorkerConfig as
+JSON> --port-file <path>``, by default on an ephemeral port; the worker
+writes its bound endpoint to that per-worker *port file*
 atomically (temp file + ``os.replace``) once listening, so the handshake
 can never observe a half-written line.  The supervisor polls that file
 -- bailing out early if the process dies first -- and hands the endpoint
@@ -20,7 +21,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -68,31 +69,11 @@ class WorkerSupervisor:
 
     # -- spawning ------------------------------------------------------------ #
     def _command(self, config: WorkerConfig, port_file: Path) -> List[str]:
-        command = [sys.executable, "-m", "repro.cluster.worker",
-                   "--name", config.name,
-                   "--transport", config.transport,
-                   "--host", config.host,
-                   "--port", str(config.port),
-                   "--port-file", str(port_file)]
-        for tenant, artifact in config.artifacts.items():
-            command += ["--artifact", f"{tenant}={artifact}"]
-        if config.default_tenant is not None:
-            command += ["--default-tenant", config.default_tenant]
-        if config.transport == "uds":
-            uds_path = config.uds_path or \
-                self.run_dir / f"{config.name}.sock"
-            command += ["--uds-path", str(uds_path)]
-        if config.max_batch is not None:
-            command += ["--max-batch", str(config.max_batch)]
-        if config.max_delay_ms is not None:
-            command += ["--max-delay-ms", str(config.max_delay_ms)]
-        if config.max_queue is not None:
-            command += ["--max-queue", str(config.max_queue)]
-        if config.backpressure is not None:
-            command += ["--backpressure", config.backpressure]
-        if config.incremental is False:
-            command += ["--no-incremental"]
-        return command
+        if config.transport == "uds" and config.uds_path is None:
+            config = replace(config,
+                             uds_path=self.run_dir / f"{config.name}.sock")
+        return [sys.executable, "-m", "repro.cluster.worker",
+                "--config", config.to_json(), "--port-file", str(port_file)]
 
     def spawn(self, config: WorkerConfig) -> WorkerHandle:
         """Start one worker and block until its endpoint handshake lands."""

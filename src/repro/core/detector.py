@@ -7,14 +7,14 @@ uniformly:
 * :meth:`AnomalyDetector.fit` trains on a normalised, anomaly-free stream;
 * :meth:`AnomalyDetector.score_stream` scores a whole test stream and returns
   per-sample anomaly scores aligned with the stream indices;
-* :meth:`AnomalyDetector.score_window` scores a single rolling context window
-  (the streaming path used by the edge runtime);
-* :meth:`AnomalyDetector.score_windows_batch` scores a batch of rolling
-  windows in one call -- the micro-batcher (:class:`repro.serve.MicroBatcher`)
-  gathers the windows pending across all streams and amortises the per-call
-  overhead across the whole batch.  Overrides must
-  return exactly the scores the :meth:`score_window` loop would, row for row;
+* :meth:`AnomalyDetector.score_windows_batch` -- the one scoring method a
+  detector implements -- scores a batch of rolling windows in one call; the
+  micro-batcher (:class:`repro.serve.MicroBatcher`) gathers the windows
+  pending across all streams and amortises the per-call overhead across the
+  whole batch.  A row's score must not depend on what else is in the batch;
   the parity suite in ``tests/test_edge/test_fleet_parity.py`` enforces this;
+* :meth:`AnomalyDetector.score_window` scores a single rolling context window
+  as a batch of one (defined once, on the base class);
 * :meth:`AnomalyDetector.inference_cost` reports the per-inference compute and
   memory-traffic profile consumed by the edge device model;
 * :meth:`AnomalyDetector.calibrate_threshold` attaches a
@@ -158,30 +158,29 @@ class AnomalyDetector(abc.ABC):
         """Train on a normalised, anomaly-free stream of shape (T, channels)."""
 
     # -- scoring -------------------------------------------------------- #
-    @abc.abstractmethod
     def score_window(self, window: np.ndarray, target: np.ndarray) -> float:
-        """Score one step: ``window`` is (window, channels), ``target`` (channels,)."""
+        """Score one step: ``window`` is (window, channels), ``target`` (channels,).
 
+        A batch of one through :meth:`score_windows_batch`, so the
+        sequential and batched paths share one code path (and therefore
+        bit-identical scores).
+        """
+        return float(self.score_windows_batch(
+            np.asarray(window, dtype=np.float64)[None, ...],
+            np.asarray(target, dtype=np.float64).reshape(1, -1),
+        )[0])
+
+    @abc.abstractmethod
     def score_windows_batch(self, windows: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Score a batch of rolling windows in one call.
 
         ``windows`` has shape ``(n, window, channels)`` and ``targets``
-        ``(n, channels)``; the result is the ``(n,)`` array of scores that
-        :meth:`score_window` would produce row by row.  The rows are
-        independent -- they may come from different streams, which is exactly
-        how :class:`repro.serve.MicroBatcher` amortises per-call overhead
-        across a fleet of streams.
-
-        The default implementation loops over :meth:`score_window`; every
-        detector in the study overrides it with a vectorized version that is
-        bit-identical per row regardless of the batch composition.
+        ``(n, channels)``; the result is the ``(n,)`` array of scores, each
+        row's score bit-identical whatever else is in the batch.  The rows
+        are independent -- they may come from different streams, which is
+        exactly how :class:`repro.serve.MicroBatcher` amortises per-call
+        overhead across a fleet of streams.
         """
-        self._check_fitted()
-        windows, targets = self._validate_batch(windows, targets)
-        scores = np.empty(windows.shape[0])
-        for index in range(windows.shape[0]):
-            scores[index] = self.score_window(windows[index], targets[index])
-        return scores
 
     def score_stream(self, test_data: np.ndarray, batch_size: int = 256) -> ScoreResult:
         """Score every sample of a stream that has at least ``window`` history.
@@ -456,22 +455,13 @@ class VaradeDetector(AnomalyDetector):
         return self
 
     # -- scoring -------------------------------------------------------- #
-    def score_window(self, window: np.ndarray, target: np.ndarray) -> float:
-        """Anomaly score of one step: the mean predicted variance.
-
-        The ``target`` argument is part of the common detector API but is not
-        used: VARADE scores from its own uncertainty, before the next sample
-        is even observed.  Delegates to :meth:`score_windows_batch` so the
-        sequential and batched paths share one code path (and therefore
-        bit-identical scores).
-        """
-        return float(self.score_windows_batch(
-            np.asarray(window, dtype=np.float64)[None, ...],
-            np.asarray(target, dtype=np.float64).reshape(1, -1),
-        )[0])
-
     def score_windows_batch(self, windows: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """Vectorized variance scoring: one fast-path forward for all rows."""
+        """Mean predicted variance per row: one fast-path forward for all rows.
+
+        ``targets`` is part of the common detector API but is not used:
+        VARADE scores from its own uncertainty, before the next sample is
+        even observed.
+        """
         self._check_fitted()
         windows, _ = self._validate_batch(windows, targets)
         _, log_var = self.network.predict_distribution(windows)

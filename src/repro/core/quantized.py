@@ -166,13 +166,6 @@ class QuantizedVaradeDetector(AnomalyDetector):
         log_var = np.clip(outputs["log_var"].astype(np.float64), -10.0, 10.0)
         return mean, log_var
 
-    def score_window(self, window: np.ndarray, target: np.ndarray) -> float:
-        """One-step scoring via :meth:`score_windows_batch` (one shared path)."""
-        return float(self.score_windows_batch(
-            np.asarray(window, dtype=np.float64)[None, ...],
-            np.asarray(target, dtype=np.float64).reshape(1, -1),
-        )[0])
-
     def score_windows_batch(self, windows: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Vectorized variance scoring through the int8 plan."""
         self._check_fitted()

@@ -41,7 +41,7 @@ from repro.obs.alarms import (AlarmSink, CallbackAlarmSink, FanOutAlarmSink,
                               JsonlAlarmSink, alarm_record)
 from repro.obs.httpd import ObservabilityHTTPServer
 from repro.obs.metrics import (Counter, Gauge, MetricFamily, MetricsRegistry,
-                               Summary)
+                               Summary, merge_metrics_pages)
 from repro.obs.trace import TraceRecorder
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Summary",
+    "merge_metrics_pages",
     "TraceRecorder",
     "AlarmSink",
     "JsonlAlarmSink",

@@ -60,6 +60,7 @@ __all__ = [
     "Summary",
     "MetricFamily",
     "MetricsRegistry",
+    "merge_metrics_pages",
 ]
 
 _METRIC_NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -309,3 +310,98 @@ class MetricsRegistry:
                     lines.append(f"{family.name}{suffix} "
                                  f"{_format_value(child.value())}")
         return "\n".join(lines) + "\n"
+
+
+# --------------------------------------------------------------------------- #
+# Prometheus text page merging
+# --------------------------------------------------------------------------- #
+_SAMPLE_RE = re.compile(
+    r"^(?P<name>[A-Za-z_:][A-Za-z0-9_:]*)"
+    r"(?P<labels>\{[^}]*\})?"
+    r"\s+(?P<value>\S+)\s*$")
+
+
+def merge_metrics_pages(pages: List[str]) -> str:
+    """Merge Prometheus text pages from several services into one page.
+
+    Counters, gauges, and summary ``_sum``/``_count`` series are summed
+    per ``(name, labels)``; summary *quantile* series report the per-page
+    **max** -- the conservative read: the true merged quantile is
+    unrecoverable from per-page quantiles, and an alarm that over-reports
+    latency beats one that hides a slow shard.  ``HELP``/``TYPE`` comments
+    come from the first page declaring each family; family and series
+    order follows first appearance.
+    """
+    types: Dict[str, str] = {}
+    headers: Dict[str, List[str]] = {}
+    family_order: List[str] = []
+    series_order: List[Tuple[str, str]] = []
+    values: Dict[Tuple[str, str], float] = {}
+    series_family: Dict[Tuple[str, str], str] = {}
+
+    for page in pages:
+        family = ""
+        for line in page.splitlines():
+            if not line.strip():
+                continue
+            if line.startswith("#"):
+                parts = line.split(None, 3)
+                if len(parts) >= 3 and parts[1] in ("HELP", "TYPE"):
+                    family = parts[2]
+                    if family not in headers:
+                        headers[family] = []
+                        family_order.append(family)
+                    if parts[1] == "TYPE" and len(parts) == 4:
+                        types.setdefault(family, parts[3].strip())
+                    if line not in headers[family]:
+                        headers[family].append(line)
+                continue
+            match = _SAMPLE_RE.match(line)
+            if match is None:
+                continue
+            name = match.group("name")
+            labels = match.group("labels") or ""
+            try:
+                value = float(match.group("value"))
+            except ValueError:
+                continue
+            base = _family_of(name, types)
+            key = (name, labels)
+            if key not in values:
+                series_order.append(key)
+                series_family[key] = base
+                values[key] = value
+            elif _is_quantile(name, labels, base, types):
+                values[key] = max(values[key], value)
+            else:
+                values[key] += value
+
+    lines: List[str] = []
+    emitted: set = set()
+    for family in family_order:
+        lines.extend(headers[family])
+        for key in series_order:
+            if series_family.get(key) == family and key not in emitted:
+                emitted.add(key)
+                lines.append(f"{key[0]}{key[1]} {_format_value(values[key])}")
+    for key in series_order:    # series with no HELP/TYPE header
+        if key not in emitted:
+            emitted.add(key)
+            lines.append(f"{key[0]}{key[1]} {_format_value(values[key])}")
+    return "\n".join(lines) + "\n" if lines else ""
+
+
+def _family_of(name: str, types: Dict[str, str]) -> str:
+    """Strip summary/histogram suffixes back to the declared family name."""
+    for suffix in ("_sum", "_count", "_bucket"):
+        if name.endswith(suffix) and name[: -len(suffix)] in types:
+            return name[: -len(suffix)]
+    return name
+
+
+def _is_quantile(name: str, labels: str, family: str,
+                 types: Dict[str, str]) -> bool:
+    if types.get(family) != "summary":
+        return False
+    return name == family and "quantile=" in labels
+

@@ -411,6 +411,15 @@ class Pipeline:
             ),
         )
 
+    def service_config(self, **overrides: Any):
+        """``spec.service`` as a :class:`repro.serve.ServiceConfig` (the
+        library defaults without one), ``overrides`` on top."""
+        from ..serve import ServiceConfig
+
+        spec = self.spec.service
+        return ServiceConfig(**overrides) if spec is None \
+            else spec.config(**overrides)
+
     def deploy_service(self, config: Optional[Any] = None,
                        record_sessions: bool = False,
                        alarm_sinks: Any = ()):
@@ -429,14 +438,10 @@ class Pipeline:
         service.start()`` (or use it as an async context manager) from the
         hosting event loop.  ``repro serve`` wraps it in the wire server.
         """
-        from ..serve import AnomalyService, ServiceConfig
+        from ..serve import AnomalyService
 
         if config is None:
-            if self.spec.service is not None:
-                config = self.spec.service.config(
-                    record_sessions=record_sessions)
-            else:
-                config = ServiceConfig(record_sessions=record_sessions)
+            config = self.service_config(record_sessions=record_sessions)
         adaptation = None if self.spec.adaptation is None \
             else self.spec.adaptation.policy()
         fingerprint = None
@@ -534,13 +539,13 @@ class Pipeline:
         artifacts: Dict[str, Path] = {"default": Path(artifact)}
         for tenant, path in (tenants or {}).items():
             artifacts[tenant] = Path(path)
-        incremental = None
+        overrides = {}
         if service_spec is not None and not service_spec.incremental:
-            incremental = False
+            overrides["incremental"] = False
         configs = [
             WorkerConfig(name=f"worker-{index}", artifacts=dict(artifacts),
                          default_tenant="default", transport=transport,
-                         host=host, incremental=incremental)
+                         host=host, service=overrides)
             for index in range(workers)
         ]
         return ClusterHarness(configs, router_config=router_config,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import asyncio
 import pickle
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import AsyncIterator, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -126,8 +126,7 @@ class ServiceStats:
 
         This is the per-service schema of the ``snapshot`` wire op;
         :meth:`repro.cluster.ClusterStats.from_snapshots` merges a fleet
-        of them back into one :class:`ServiceStats` via
-        :meth:`~repro.edge.StreamingHistogram.merge`.
+        of them back into one :class:`ServiceStats` via :meth:`merged`.
         """
         return {
             "sessions_opened": self.sessions_opened,
@@ -144,6 +143,25 @@ class ServiceStats:
             "queue_delay_histogram": self.queue_delay_histogram.to_state(),
             "occupancy_histogram": self.occupancy_histogram.to_state(),
         }
+
+    @classmethod
+    def merged(cls, parts: Sequence["ServiceStats"]) -> "ServiceStats":
+        """The exact aggregate of several services' stats: counters sum,
+        histograms merge bin-by-bin (so the p99 is the combined
+        distribution's, not an average of p99s)."""
+        if not parts:
+            raise ValueError("cannot merge an empty list of stats")
+        totals = {}
+        for spec in fields(cls):
+            values = [getattr(part, spec.name) for part in parts]
+            if isinstance(values[0], StreamingHistogram):
+                total = StreamingHistogram.from_state(values[0].to_state())
+                for other in values[1:]:
+                    total.merge(other)
+            else:
+                total = sum(values)
+            totals[spec.name] = total
+        return cls(**totals)
 
     @classmethod
     def from_dict(cls, state: dict) -> "ServiceStats":

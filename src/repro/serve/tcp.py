@@ -1,5 +1,5 @@
 """Networked front door for :class:`AnomalyService`: one dispatch core,
-pluggable protocols and transports.
+one server class for one tenant or many, pluggable protocols and transports.
 
 Every connection speaks one of two *protocols*, decided by its first byte
 (no handshake round trip):
@@ -20,7 +20,7 @@ spells it as one line, binary as one frame -- so every op, the
 model-lifecycle ones included, works over both.  Requests::
 
     {"op": "open",  "stream": "cell-7"}            optional: "max_samples",
-                                                   "tenant" (cluster workers)
+                                                   "tenant"
     {"op": "push",  "stream": "cell-7", "values": [0.1, 0.2, ...]}
     {"op": "close", "stream": "cell-7"}
     {"op": "stats"}
@@ -45,7 +45,15 @@ it reads counters the hot path maintains anyway -- and is what
 :mod:`repro.cluster` aggregates into fleet stats.  The handoff ops exist
 for the cluster's session re-homing and only cluster workers enable them:
 imported blobs are pickles and must never be accepted from untrusted
-clients.  The lifecycle ops also take a ``"tenant"`` on such workers.)
+clients.)
+
+A server hosts one :class:`AnomalyService` per *tenant* -- a lone service
+is the tenant ``"default"``; a cluster worker has one per packaged
+artifact.  ``open``, an auto-opening JSON ``push``, ``import_session``
+and the lifecycle ops take a ``"tenant"`` key: a tenant name, or the
+fingerprint of the artifact a tenant serves right now; without one they
+address the default tenant.  Stream ids are unique per server, not per
+tenant.
 
 Every request gets exactly one reply, in request order::
 
@@ -93,13 +101,14 @@ import json
 import os
 import socket
 from pathlib import Path
-from typing import (Any, Awaitable, Callable, Dict, Iterable, List, Optional,
-                    Union)
+from typing import (Any, Awaitable, Callable, Dict, Iterable, List, Mapping,
+                    Optional, Union)
 
 import numpy as np
 
 from . import wire
-from .service import AnomalyService
+from ..obs.metrics import merge_metrics_pages
+from .service import AnomalyService, ServiceStats
 from .session import ScoredSample
 from .transport import (TCPTransport, Transport, UnixSocketTransport,
                         bound_port)
@@ -317,6 +326,16 @@ async def _serve_requests(
             return True
 
 
+def _checked_protocols(protocols: Iterable[str]) -> tuple:
+    """A front door's ``protocols`` argument, validated."""
+    protocols = tuple(protocols)
+    if not protocols or set(protocols) - set(PROTOCOLS):
+        raise ValueError(
+            f"protocols must be a non-empty subset of {PROTOCOLS}, "
+            f"got {protocols!r}")
+    return protocols
+
+
 def _error_reply(message: Message, error: Any) -> Message:
     name = message.get("op")
     return {"ok": False, "op": name if isinstance(name, str) else None,
@@ -343,7 +362,19 @@ _Owned = Dict[str, bool]
 
 
 class AnomalyWireServer:
-    """Serve an :class:`AnomalyService` over a pluggable transport.
+    """Serve one :class:`AnomalyService` per tenant over a pluggable transport.
+
+    ``services`` maps tenant names to *un-started* services
+    (:meth:`serve_forever` starts and stops all of them); a bare service
+    is the single tenant ``"default"``.  An ``open`` (or an auto-opening
+    ``push``, an ``import_session``, a lifecycle op) picks its service by
+    the request's ``tenant`` key -- a tenant name, or the fingerprint of
+    the artifact a tenant serves right now -- and falls back to
+    ``default_tenant`` (the only tenant, when there is one).  The server
+    keeps one ``stream id -> tenant`` index of the sessions it opened, so
+    every later op on a stream finds its service in one lookup.
+    ``stats`` and ``metrics`` answer with the merge across the hosted
+    tenants (histograms exactly, summary quantiles conservatively).
 
     One dispatch core handles every connection; each connection's first
     byte selects its protocol codec (``0xAB`` = binary, else line JSON).
@@ -351,11 +382,34 @@ class AnomalyWireServer:
     speaking a disabled protocol gets one structured error and is closed.
     """
 
-    def __init__(self, service: AnomalyService, transport: Transport, *,
+    def __init__(self,
+                 services: Union[AnomalyService, Mapping[str, AnomalyService]],
+                 transport: Transport, *,
+                 default_tenant: Optional[str] = None,
                  allow_shutdown: bool = True,
                  allow_handoff: bool = False,
                  protocols: Iterable[str] = PROTOCOLS) -> None:
-        self.service = service
+        if not isinstance(services, Mapping):
+            services = {"default": services}
+        if not services:
+            raise ValueError("a wire server needs at least one service")
+        #: tenant name -> hosted service
+        self.services: Dict[str, AnomalyService] = dict(services)
+        if default_tenant is None and len(self.services) == 1:
+            default_tenant = next(iter(self.services))
+        if default_tenant is not None and default_tenant not in self.services:
+            raise ValueError(
+                f"default tenant {default_tenant!r} is not hosted; "
+                f"tenants: {sorted(self.services)}")
+        self.default_tenant = default_tenant
+        #: the default tenant's service (the first hosted one when there is
+        #: no default): home of the wire counters and the ``trace`` op
+        self.service = self.services[default_tenant] \
+            if default_tenant is not None \
+            else next(iter(self.services.values()))
+        #: stream id -> tenant of every session opened over this server
+        #: and still live (closed, exported and dropped streams leave)
+        self._stream_tenants: Dict[str, str] = {}
         self.transport = transport
         #: honour the ``shutdown`` op (the smoke flow's clean-exit path);
         #: disable for servers that must only stop from their own host.
@@ -364,20 +418,14 @@ class AnomalyWireServer:
         #: imports deserialise pickled session state, so only
         #: cluster-internal worker endpoints may enable this.
         self.allow_handoff = allow_handoff
-        self.protocols = tuple(protocols)
-        unknown = set(self.protocols) - set(PROTOCOLS)
-        if unknown or not self.protocols:
-            raise ValueError(
-                f"protocols must be a non-empty subset of {PROTOCOLS}, "
-                f"got {tuple(protocols)!r}"
-            )
+        self.protocols = _checked_protocols(protocols)
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopping: Optional[asyncio.Event] = None
         # Wire-level metric families, registered into the service's
         # registry when observability is on (none registered = no-op).
         self._counters: Dict[str, Any] = {}
-        if service.observability is not None:
-            counter = service.observability.registry.counter
+        if self.service.observability is not None:
+            counter = self.service.observability.registry.counter
             for family, labels, text in (
                     ("connections", ("protocol",),
                      "Connections accepted, by negotiated protocol."),
@@ -426,7 +474,7 @@ class AnomalyWireServer:
         self._stopping = asyncio.Event()
         started: List[AnomalyService] = []
         try:
-            for service in self._all_services():
+            for service in self.services.values():
                 await service.start()
                 started.append(service)
             self._server = await self.transport.listen(self._handle_connection)
@@ -451,55 +499,52 @@ class AnomalyWireServer:
         if self._stopping is not None:
             self._stopping.set()
 
-    # -- the served services (overridable: multi-tenant cluster workers) ---- #
-    def _all_services(self) -> Iterable[AnomalyService]:
-        """Every service this server fronts (one, unless multi-tenant)."""
-        return (self.service,)
-
-    def _named_services(self) -> Dict[str, AnomalyService]:
-        """Tenant-name view of :meth:`_all_services` (snapshot schema)."""
-        return {"default": self.service}
+    # -- tenants and the stream index --------------------------------------- #
+    def _tenant_for(self, message: Message) -> str:
+        """The hosted tenant a request's ``tenant`` key addresses: a
+        tenant name, the fingerprint of the artifact a tenant serves *now*
+        (so it follows a promote or rollback), or -- absent, or the
+        implicit ``"default"`` -- the default tenant."""
+        key = message.get("tenant")
+        if key in self.services:
+            return key
+        if key is None or key == "default":
+            if self.default_tenant is None:
+                raise ValueError(
+                    f"this server hosts {len(self.services)} tenants and "
+                    f"has no default; the request must carry a tenant key "
+                    f"(one of {sorted(self.services)})")
+            return self.default_tenant
+        for tenant, service in self.services.items():
+            if key == service.artifact_fingerprint:
+                return tenant
+        raise ValueError(
+            f"unknown tenant {key!r}; this server hosts "
+            f"{sorted(self.services)}")
 
     def _service_for(self, message: Message) -> AnomalyService:
-        """Resolve the service a stream op addresses (tenant routing hook)."""
-        if message.get("tenant") not in (None, "default"):
-            raise ValueError(
-                "this server hosts a single artifact; tenant keys are only "
-                "meaningful on a multi-tenant cluster worker")
-        return self.service
+        return self.services[self._tenant_for(message)]
 
-    def _tenant_for_stream(self, stream_id: str) -> str:
-        """The tenant key a session belongs to (export replies carry it)."""
-        return "default"
+    def _register_stream(self, stream_id: str, tenant: str,
+                         owned: _Owned) -> None:
+        """``tenant`` holds a session of this connection's: one it opened,
+        imported, or is about to auto-open with a push."""
+        self._stream_tenants[stream_id] = tenant
+        owned[stream_id] = True
 
-    def _register_stream(self, stream_id: str, message: Message) -> None:
-        """Hook: a stream was opened/imported (tenant bookkeeping)."""
+    def _forget_stream(self, stream_id: str, owned: _Owned) -> None:
+        """A stream's session ended here (closed, exported, dropped)."""
+        self._stream_tenants.pop(stream_id, None)
+        if stream_id in owned:
+            owned[stream_id] = False
 
-    def _forget_stream(self, stream_id: str) -> None:
-        """Hook: a stream was closed/exported."""
-
-    def _session_service(self, stream_id: str) -> Optional[AnomalyService]:
-        for service in self._all_services():
-            if stream_id in service.sessions:
-                return service
-        return None
-
-    def _merged_stats(self):
-        return self.service.stats()
-
-    def _metrics_text(self) -> str:
-        return self.service.metrics_text()
-
-    def _snapshot(self) -> Dict[str, Any]:
-        """Machine-readable state of every hosted service (cluster probes)."""
-        return {"services": {
-            name: {"fingerprint": service.artifact_fingerprint,
-                   "stats": service.stats().to_dict()}
-            for name, service in self._named_services().items()}}
-
-    def _note_swap(self, service: AnomalyService) -> None:
-        """Hook: ``service`` just hot-swapped its detector (promote or
-        rollback); multi-tenant servers re-key their fingerprint maps."""
+    def _live_stream(self, message: Message):
+        """``(stream id, its tenant)`` for an op on an open stream."""
+        stream_id = _required_stream(message)
+        tenant = self._stream_tenants.get(stream_id)
+        if tenant is None:
+            raise ValueError(f"unknown stream {stream_id!r}")
+        return stream_id, tenant
 
     # -- per-connection handling ------------------------------------------- #
     async def _handle_connection(self, reader: asyncio.StreamReader,
@@ -513,7 +558,7 @@ class AnomalyWireServer:
                 alarm_tasks = [
                     asyncio.create_task(
                         self._forward_alarms(service, codec, writer, owned))
-                    for service in self._all_services()]
+                    for service in self.services.values()]
                 await _serve_requests(
                     codec, writer, functools.partial(self._dispatch, owned),
                     protocols=self.protocols,
@@ -530,13 +575,13 @@ class AnomalyWireServer:
                     pass
             # A dropped producer must not leak its sessions.
             for stream_id, still_open in owned.items():
-                service = self._session_service(stream_id)
-                if still_open and service is not None:
+                tenant = self._stream_tenants.get(stream_id)
+                if still_open and tenant is not None:
                     try:
-                        await service.close_session(stream_id)
-                    except RuntimeError:
-                        pass   # service already stopped
-                    self._forget_stream(stream_id)
+                        await self.services[tenant].close_session(stream_id)
+                    except (RuntimeError, KeyError):
+                        pass   # service already stopped / session gone
+                    self._forget_stream(stream_id, owned)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -577,13 +622,24 @@ class AnomalyWireServer:
         return {}
 
     async def _op_stats(self, message: Message, owned: _Owned):
-        return _stats_payload(self._merged_stats())
+        return _stats_payload(ServiceStats.merged(
+            [service.stats() for service in self.services.values()]))
 
     async def _op_snapshot(self, message: Message, owned: _Owned):
-        return {"snapshot": self._snapshot()}
+        # Machine-readable state of every hosted service: what
+        # repro.cluster.ClusterStats merges into fleet stats.
+        return {"snapshot": {"services": {
+            tenant: {"fingerprint": service.artifact_fingerprint,
+                     "stats": service.stats().to_dict()}
+            for tenant, service in self.services.items()}}}
 
     async def _op_metrics(self, message: Message, owned: _Owned):
-        return {"text": self._metrics_text()}
+        pages = [service.metrics_text() for service in self.services.values()
+                 if service.observability is not None]
+        if not pages:
+            return {"text": self.service.metrics_text()}  # standard rejection
+        return {"text": pages[0] if len(pages) == 1
+                else merge_metrics_pages(pages)}
 
     async def _op_trace(self, message: Message, owned: _Owned):
         return {"trace": self.service.trace_export()}
@@ -594,11 +650,15 @@ class AnomalyWireServer:
 
     async def _op_open(self, message: Message, owned: _Owned):
         stream_id = _required_stream(message)
-        service = self._service_for(message)
+        tenant = self._tenant_for(message)
+        if stream_id in self._stream_tenants:
+            # Stream ids are per server, not per tenant: a second tenant's
+            # session under a live id would orphan the first in the index.
+            raise ValueError(f"session {stream_id!r} is already open")
+        service = self.services[tenant]
         session = await service.open_session(
             stream_id, max_samples=message.get("max_samples"))
-        self._register_stream(stream_id, message)
-        owned[stream_id] = True
+        self._register_stream(stream_id, tenant, owned)
         threshold = session.threshold
         return {"stream": stream_id, "window": service.detector.window,
                 "incremental": session.incremental_active,
@@ -608,29 +668,23 @@ class AnomalyWireServer:
     async def _op_push(self, message: Message, owned: _Owned):
         stream_id = _required_stream(message)
         block = _push_block(message)
-        service = self._session_service(stream_id)
-        if service is None:
-            service = self._service_for(message)  # auto-open path
-            self._register_stream(stream_id, message)
-            owned[stream_id] = True
-        for row in block:
-            await service.push(stream_id, row)
+        tenant = self._stream_tenants.get(stream_id)
+        if tenant is None:      # the service auto-opens on the first row
+            tenant = self._tenant_for(message)
+            self._register_stream(stream_id, tenant, owned)
+        service = self.services[tenant]
+        try:
+            for row in block:
+                await service.push(stream_id, row)
+        except KeyError:        # no such session and auto_open is off
+            self._forget_stream(stream_id, owned)
+            raise
         return {"accepted": int(block.shape[0])}
 
-    def _live_service(self, message: Message):
-        """``(stream id, its service)`` for an op on an open stream."""
-        stream_id = _required_stream(message)
-        service = self._session_service(stream_id)
-        if service is None:
-            raise ValueError(f"unknown stream {stream_id!r}")
-        return stream_id, service
-
     async def _op_close(self, message: Message, owned: _Owned):
-        stream_id, service = self._live_service(message)
-        session = await service.close_session(stream_id)
-        self._forget_stream(stream_id)
-        if stream_id in owned:
-            owned[stream_id] = False
+        stream_id, tenant = self._live_stream(message)
+        session = await self.services[tenant].close_session(stream_id)
+        self._forget_stream(stream_id, owned)
         return {"stream": stream_id,
                 "samples_pushed": session.samples_pushed,
                 "samples_scored": session.samples_scored,
@@ -639,25 +693,21 @@ class AnomalyWireServer:
 
     async def _op_export_session(self, message: Message,
                                  owned: _Owned):
-        stream_id, service = self._live_service(message)
-        tenant = self._tenant_for_stream(stream_id)
-        blob = await service.export_session(stream_id)
-        self._forget_stream(stream_id)
-        if stream_id in owned:
-            owned[stream_id] = False
+        stream_id, tenant = self._live_stream(message)
+        blob = await self.services[tenant].export_session(stream_id)
+        self._forget_stream(stream_id, owned)
         return {"stream": stream_id, "tenant": tenant,
                 "state": base64.b64encode(blob).decode("ascii")}
 
     async def _op_import_session(self, message: Message,
                                  owned: _Owned):
-        service = self._service_for(message)
+        tenant = self._tenant_for(message)
         state = message.get("state")
         if not isinstance(state, str) or not state:
             raise ValueError("import_session needs a 'state' string")
-        session = await service.import_session(
+        session = await self.services[tenant].import_session(
             base64.b64decode(state.encode("ascii")))
-        self._register_stream(session.stream_id, message)
-        owned[session.stream_id] = True
+        self._register_stream(session.stream_id, tenant, owned)
         return {"stream": session.stream_id}
 
     async def _op_canary(self, message: Message, owned: _Owned):
@@ -686,18 +736,12 @@ class AnomalyWireServer:
         return {"report": controller.evaluate().to_dict()}
 
     async def _op_promote(self, message: Message, owned: _Owned):
-        service = self._service_for(message)
-        result = await service.promote(force=bool(message.get("force", False)))
-        if result["promoted"]:
-            self._note_swap(service)
-        return result
+        return await self._service_for(message).promote(
+            force=bool(message.get("force", False)))
 
     async def _op_rollback(self, message: Message, owned: _Owned):
-        service = self._service_for(message)
-        result = await service.rollback(
+        return await self._service_for(message).rollback(
             reason=str(message.get("reason", "manual")))
-        self._note_swap(service)
-        return result
 
 
 class AnomalyTCPServer(AnomalyWireServer):

@@ -1,12 +1,14 @@
 """Cluster building blocks, each tested in isolation.
 
 Session handoff (export/import round trips), fleet stats and metrics-page
-merging, the worker supervisor, and the multi-tenant wire server -- the
+merging, the worker supervisor and its one-JSON-document config hop, and
+multi-tenant serving on the wire server -- the
 end-to-end parity suite (``test_cluster_parity.py``) then proves the
 composition.
 """
 
 import asyncio
+import json
 import os
 import signal
 import threading
@@ -14,10 +16,13 @@ import threading
 import numpy as np
 import pytest
 
-from repro.cluster import (ClusterStats, TenantWireServer, WorkerConfig,
-                           WorkerSupervisor, merge_metrics_pages)
+from repro.cluster import (ClusterStats, ShardRouter, WorkerConfig,
+                           WorkerSupervisor)
 from repro.cluster.worker import argument_parser as worker_argument_parser
+from repro.cluster.worker import build_worker_server
+from repro.cluster.worker import main as worker_main
 from repro.edge import StreamingHistogram
+from repro.obs import merge_metrics_pages
 from repro.pipeline import Pipeline
 from repro.serialize import artifact_fingerprint
 from repro.serve import (BACKPRESSURE_POLICIES, AnomalyWireServer,
@@ -48,7 +53,7 @@ def _snapshot(stats_by_tenant) -> dict:
 
 
 class WireServerThread:
-    """Run any AnomalyWireServer subclass on an ephemeral port."""
+    """Run an AnomalyWireServer on an ephemeral port."""
 
     def __init__(self, server_factory):
         self._factory = server_factory
@@ -287,21 +292,74 @@ class TestWorkerSupervisor:
             assert not supervisor.alive("w0")
 
     @pytest.mark.parametrize("policy", BACKPRESSURE_POLICIES)
-    def test_worker_parses_every_flag_the_supervisor_spawns_it_with(
-            self, tmp_path, policy):
-        """Regression: the worker's ``--backpressure`` choices spelled the
-        ``"reject"`` policy ``"error"``, so ``repro serve --workers N
-        --backpressure reject`` spawned workers that died in argparse."""
-        config = WorkerConfig(name="w0", artifacts={"default": tmp_path},
-                              max_batch=8, max_delay_ms=2.0, max_queue=16,
-                              backpressure=policy, incremental=False)
+    def test_worker_config_survives_the_process_boundary(self, tmp_path,
+                                                         policy):
+        """The supervisor -> worker hop is one JSON document: every field
+        (paths, the uds path, every ServiceConfig override) must come out
+        of the worker's parser exactly as the supervisor put it in.
+        (Successor of the flag-by-flag parity test: the worker's
+        ``--backpressure`` choices once spelled ``"reject"`` as ``"error"``
+        and the spawned workers died in argparse.)"""
+        config = WorkerConfig(
+            name="w0", artifacts={"default": tmp_path, "b": tmp_path / "b"},
+            default_tenant="b", transport="uds", host="127.0.0.2", port=7,
+            uds_path=tmp_path / "w0.sock",
+            service={"max_batch": 8, "max_delay_ms": 2.0, "max_queue": 16,
+                     "backpressure": policy, "incremental": False})
+        assert WorkerConfig.from_json(config.to_json()) == config
         with WorkerSupervisor(run_dir=tmp_path) as supervisor:
             command = supervisor._command(config, tmp_path / "w0.port")
         flags = command[command.index("repro.cluster.worker") + 1:]
         args = worker_argument_parser().parse_args(flags)
-        assert args.backpressure == policy
-        assert args.no_incremental
-        assert (args.max_batch, args.max_delay_ms, args.max_queue) == (8, 2.0, 16)
+        assert set(vars(args)) == {"config", "port_file"}
+        assert args.port_file == tmp_path / "w0.port"
+        assert WorkerConfig.from_json(args.config) == config
+
+    def test_supervisor_fills_in_the_uds_path(self, tmp_path):
+        config = WorkerConfig(name="w0", artifacts={"default": tmp_path},
+                              transport="uds")
+        with WorkerSupervisor(run_dir=tmp_path) as supervisor:
+            command = supervisor._command(config, tmp_path / "w0.port")
+        spawned = WorkerConfig.from_json(command[command.index("--config") + 1])
+        assert spawned.uds_path == tmp_path / "w0.sock"
+
+    @pytest.mark.parametrize("override, named", [
+        ({"max_bacth": 8}, "max_bacth"),
+        ({"backpressure": "error"}, "'error'"),
+        ({"max_queue": 0}, "max_queue"),
+    ])
+    def test_worker_rejects_a_bad_service_override(self, artifact, capsys,
+                                                   override, named):
+        """ServiceConfig itself validates the overrides, on both sides of
+        the hop: the config object refuses them, and a document that got
+        past it anyway ends in the worker's usage error, not a traceback."""
+        with pytest.raises(ValueError, match=named):
+            WorkerConfig(name="w0", artifacts={"default": artifact},
+                         service=override)
+        document = WorkerConfig(name="w0", artifacts={"default": artifact})
+        text = document.to_json().replace(
+            '"service": {}', '"service": ' + json.dumps(override))
+        with pytest.raises(SystemExit) as exit_info:
+            worker_main(["--config", text])
+        assert exit_info.value.code == 2
+        assert named in capsys.readouterr().err
+
+    def test_worker_applies_overrides_on_top_of_the_artifact_spec(
+            self, artifact):
+        """What `repro serve` resolves is what every worker runs: the
+        overrides win, everything else is the artifact's own
+        spec.service (tiny_spec: max_batch 8, max_delay_ms 2.0)."""
+        overrides = {"max_batch": 4, "max_queue": 32,
+                     "backpressure": "reject", "incremental": False}
+        server = build_worker_server(WorkerConfig(
+            name="w0", artifacts={"default": artifact}, service=overrides))
+        single = Pipeline.load(artifact).service_config(**overrides)
+        config = server.service.config
+        for knob in ("max_batch", "max_delay_ms", "max_queue",
+                     "backpressure", "incremental"):
+            assert getattr(config, knob) == getattr(single, knob)
+        assert config.max_delay_ms == 2.0
+        assert config.observability and server.allow_handoff
 
     def test_worker_config_validation(self, artifact):
         with pytest.raises(ValueError):
@@ -316,23 +374,55 @@ class TestWorkerSupervisor:
 
 
 # --------------------------------------------------------------------------- #
-# multi-tenant wire server
+# the router's front door
 # --------------------------------------------------------------------------- #
-class TestTenantWireServer:
+class TestRouterProtocols:
+    def test_binary_only_router_refuses_a_json_client(self, artifact):
+        """`repro serve --workers N --protocol binary` used to serve JSON
+        clients anyway: the router had no ``protocols`` to restrict."""
+        with WorkerSupervisor() as supervisor:
+            supervisor.spawn(worker_config("w0", artifact))
+            with WireServerThread(lambda: ShardRouter(
+                    supervisor, TCPTransport("127.0.0.1", 0),
+                    protocols=("binary",))) as router:
+                with TCPClient(port=router.port) as client:
+                    refusal = client.request({"op": "ping"})
+                    assert not refusal["ok"]
+                    assert "the json protocol is disabled on this server" \
+                        in refusal["error"]
+                    with pytest.raises(ConnectionError):
+                        client.request({"op": "ping"})
+                with BinaryClient(port=router.port) as client:
+                    assert client.open("s")["ok"]
+                    assert client.close_stream("s")["samples_pushed"] == 0
+                    client.shutdown()
+
+    def test_router_validates_its_protocols(self, artifact):
+        with WorkerSupervisor() as supervisor:
+            supervisor.spawn(worker_config("w0", artifact))
+            for bad in ((), ("carrier-pigeon",)):
+                with pytest.raises(ValueError, match="protocols"):
+                    ShardRouter(supervisor, TCPTransport("127.0.0.1", 0),
+                                protocols=bad)
+
+
+# --------------------------------------------------------------------------- #
+# multi-tenant serving on the wire server
+# --------------------------------------------------------------------------- #
+class TestWireServerTenants:
+    @staticmethod
+    def _services(artifact, second_artifact, **config):
+        config = ServiceConfig(max_batch=8, max_delay_ms=1.0, **config)
+        return {"alpha": Pipeline.load(artifact).deploy_service(config=config),
+                "beta": Pipeline.load(second_artifact).deploy_service(
+                    config=config)}
+
     @pytest.fixture()
     def tenant_server(self, artifact, second_artifact):
         def factory():
-            services = {
-                "alpha": Pipeline.load(artifact).deploy_service(
-                    config=ServiceConfig(max_batch=8, max_delay_ms=1.0)),
-                "beta": Pipeline.load(second_artifact).deploy_service(
-                    config=ServiceConfig(max_batch=8, max_delay_ms=1.0)),
-            }
-            fingerprints = {"alpha": artifact_fingerprint(artifact),
-                            "beta": artifact_fingerprint(second_artifact)}
-            return TenantWireServer(services, TCPTransport("127.0.0.1", 0),
-                                    fingerprints=fingerprints,
-                                    default_tenant="alpha")
+            return AnomalyWireServer(
+                self._services(artifact, second_artifact, observability=True),
+                TCPTransport("127.0.0.1", 0), default_tenant="alpha")
         with WireServerThread(factory) as server:
             yield server
 
@@ -352,9 +442,48 @@ class TestTenantWireServer:
             snapshot = client.snapshot()
             assert set(snapshot["services"]) == {"alpha", "beta"}
             assert snapshot["services"]["beta"]["fingerprint"] == fingerprint
+            per_tenant = {tenant: entry["stats"]["samples_pushed"]
+                          for tenant, entry in snapshot["services"].items()}
+            assert per_tenant == {"alpha": 12, "beta": 24}
+
+    def test_metrics_page_is_the_merge_of_the_tenants(self, tenant_server):
+        rng = np.random.default_rng(3)
+        with BinaryClient(port=tenant_server.port) as client:
+            client.push_stream("a", rng.normal(size=(10, N_CHANNELS)))
+            client.open("b", tenant="beta")
+            client.push_stream("b", rng.normal(size=(5, N_CHANNELS)))
+            page = client.metrics()
+        assert "repro_service_samples_pushed_total 15\n" in page
+        assert page.count("# TYPE repro_service_samples_pushed_total") == 1
 
     def test_unknown_tenant_is_a_clean_error(self, tenant_server):
         with BinaryClient(port=tenant_server.port) as client:
             with pytest.raises(RuntimeError, match="alpha"):
                 client.open("s", tenant="nope")
             assert client.ping()["ok"], "the connection must survive"
+
+    def test_no_default_tenant_means_the_key_is_required(
+            self, artifact, second_artifact):
+        def factory():
+            return AnomalyWireServer(self._services(artifact, second_artifact),
+                                     TCPTransport("127.0.0.1", 0))
+        with WireServerThread(factory) as server:
+            assert server.server.default_tenant is None
+            with TCPClient(port=server.port) as client:
+                with pytest.raises(RuntimeError, match="has no default"):
+                    client.open("s")
+                with pytest.raises(RuntimeError, match="has no default"):
+                    client.push("s", [0.0] * N_CHANNELS)
+                assert client.open("s", tenant="beta")["ok"]
+                # later ops on the stream need no key: the index has it
+                assert client.push("s", [0.0] * N_CHANNELS)["accepted"] == 1
+                assert client.close_stream("s")["samples_pushed"] == 1
+
+    def test_constructor_rejects_an_unhosted_default(self, artifact,
+                                                     second_artifact):
+        with pytest.raises(ValueError, match="not hosted"):
+            AnomalyWireServer(self._services(artifact, second_artifact),
+                              TCPTransport("127.0.0.1", 0),
+                              default_tenant="gamma")
+        with pytest.raises(ValueError, match="at least one service"):
+            AnomalyWireServer({}, TCPTransport("127.0.0.1", 0))

@@ -190,6 +190,28 @@ class TestServerOps:
                 assert client.promote(force=True)["fingerprint"] == fp_b
                 assert client.rollback()["fingerprint"] == fp_a
 
+    def test_fingerprint_tenant_key_follows_the_served_artifact(
+            self, artifact_a, artifact_b):
+        """A fingerprint addresses whatever tenant serves that artifact
+        *now*: after a promote the candidate's fingerprint opens streams
+        and the replaced one's no longer does; a rollback swaps them back."""
+        fp_a = artifact_fingerprint(artifact_a)
+        fp_b = artifact_fingerprint(artifact_b)
+        with LifecycleServer(artifact_a) as server:
+            with TCPClient(port=server.port) as client:
+                assert client.open("s1", tenant=fp_a)["ok"]
+                with pytest.raises(RuntimeError, match="unknown tenant"):
+                    client.open("s2", tenant=fp_b)
+                client.canary(str(artifact_b), fraction=1.0, tenant=fp_a)
+                assert client.promote(force=True, tenant=fp_a)["promoted"]
+                assert client.open("s2", tenant=fp_b)["ok"]
+                with pytest.raises(RuntimeError, match="unknown tenant"):
+                    client.open("s3", tenant=fp_a)
+                assert client.snapshot()["services"]["default"][
+                    "fingerprint"] == fp_b
+                assert client.rollback(tenant=fp_b)["fingerprint"] == fp_a
+                assert client.open("s3", tenant=fp_a)["ok"]
+
     def test_wire_alarms_carry_the_fingerprint(self, artifact_a):
         fp_a = artifact_fingerprint(artifact_a)
         data = make_stream(40, seed=60)

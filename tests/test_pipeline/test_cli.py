@@ -1,10 +1,12 @@
 """The ``python -m repro`` CLI: every subcommand, in process, on the tiny
 built-in --fast spec (the same path the CI smoke job exercises)."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro import cli
 from repro.cli import fast_spec, main
 from repro.pipeline import DeploymentSpec
 from repro.serialize import artifact_fingerprint
@@ -212,3 +214,96 @@ def test_broken_spec_file_reports_spec_error(tmp_path, capsys):
                  "--workdir", str(workdir)])
     assert code == 2
     assert "oops" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------- #
+# `repro serve`: one flag resolution for the single process and the cluster
+# --------------------------------------------------------------------------- #
+def _serve_args(*flags):
+    return cli._build_parser().parse_args(["serve", *flags])
+
+
+class _RecordingArgs:
+    """Parsed args that remember which flags were read."""
+
+    def __init__(self, args):
+        self._args, self.read = args, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._args, name)
+
+
+def test_no_serve_flag_can_be_silently_dropped_in_cluster_mode():
+    """Both modes are built from what ``_resolve_endpoint`` returns, so a
+    flag it never reads reaches neither; one it reads either applies to a
+    cluster too or is on the explicit rejection list.  A new ``repro
+    serve`` flag that is read somewhere else fails here."""
+    args = _RecordingArgs(_serve_args())
+    cli._resolve_endpoint(args, fast_spec().service)
+    every_flag = set(vars(args._args)) - {"command", "func", "workdir"}
+    assert every_flag - args.read == set()
+    assert set(cli._CLUSTER_REJECTED_FLAGS) <= every_flag
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--trace-out", "trace.json"), ("--trace-events", "16"),
+    ("--alarm-log", "alarms.jsonl")])
+def test_cluster_mode_refuses_per_process_flags(flag, value):
+    for single in (["--workers", "1"], []):
+        endpoint = cli._resolve_endpoint(_serve_args(flag, value, *single),
+                                         None)
+        assert endpoint.workers is None
+    with pytest.raises(cli.CLIUsageError, match=flag):
+        cli._resolve_endpoint(_serve_args(flag, value, "--workers", "2"), None)
+
+
+@pytest.mark.parametrize("mode", [[], ["--workers", "2"]])
+def test_a_bad_service_knob_is_a_usage_error_in_both_modes(mode):
+    with pytest.raises(cli.CLIUsageError, match="max_batch"):
+        cli._resolve_endpoint(_serve_args("--max-batch", "0", *mode), None)
+
+
+def test_single_process_and_cluster_resolve_the_same_endpoint(tmp_path):
+    flags = ["--max-batch", "4", "--max-delay-ms", "1.5", "--max-queue", "9",
+             "--backpressure", "reject", "--no-incremental",
+             "--protocol", "binary", "--host", "127.0.0.9", "--port", "0",
+             "--metrics-port", "0", "--max-seconds", "3",
+             "--port-file", str(tmp_path / "port")]
+    spec = fast_spec().service
+    single = cli._resolve_endpoint(_serve_args(*flags), spec)
+    cluster = cli._resolve_endpoint(_serve_args(*flags, "--workers", "2"),
+                                    spec)
+    assert (single.workers, cluster.workers) == (None, 2)
+    assert single.service == cluster.service == {
+        "max_batch": 4, "max_delay_ms": 1.5, "max_queue": 9,
+        "backpressure": "reject", "incremental": False,
+        "observability": True}
+    assert single.protocols == cluster.protocols == ("binary",)
+    for name in ("host", "metrics_port", "max_seconds", "port_file"):
+        assert getattr(single, name) == getattr(cluster, name)
+    assert single.transport.describe() == cluster.transport.describe()
+
+
+def test_serve_flags_fall_back_to_the_spec_then_the_defaults():
+    spec = dataclasses.replace(fast_spec().service, host="127.0.0.7",
+                               port=7100, protocol="json", metrics_port=0)
+    from_spec = cli._resolve_endpoint(_serve_args(), spec)
+    assert from_spec.host == "127.0.0.7" and from_spec.protocols == ("json",)
+    assert from_spec.metrics_port == 0
+    assert from_spec.service == {"observability": True}
+    assert from_spec.transport.describe() == "127.0.0.7:7100"
+    bare = cli._resolve_endpoint(_serve_args(), None)
+    assert bare.transport.describe() == "127.0.0.1:7007"
+    assert bare.protocols == ("json", "binary") and bare.service == {}
+    assert bare.metrics_port is None and bare.workers is None
+
+
+def test_tenants_imply_a_cluster(packaged_workdir, tmp_path):
+    package = packaged_workdir / "package"
+    endpoint = cli._resolve_endpoint(
+        _serve_args("--tenant", f"b={package}"), None)
+    assert (endpoint.workers, endpoint.tenants) == (2, {"b": package})
+    for bad in ("b", f"default={package}", f"b={tmp_path}"):
+        with pytest.raises(cli.CLIUsageError):
+            cli._resolve_endpoint(_serve_args("--tenant", bad), None)

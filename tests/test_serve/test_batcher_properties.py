@@ -47,8 +47,10 @@ class StubDetector(AnomalyDetector):
     def fit(self, train_data):  # pragma: no cover - never trained
         return self
 
-    def score_window(self, window, target):
-        return float(np.mean(window) + 10.0 * np.mean(target))
+    def score_windows_batch(self, windows, targets):
+        windows, targets = self._validate_batch(windows, targets)
+        return windows.reshape(len(windows), -1).mean(axis=1) \
+            + 10.0 * targets.mean(axis=1)
 
     def inference_cost(self):  # pragma: no cover - not estimated here
         return InferenceCost(flops=1.0, parameter_bytes=1.0, activation_bytes=1.0)

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import random
 import socket
 import threading
 import time
@@ -9,23 +10,27 @@ import time
 import pytest
 
 from repro.core import ThresholdCalibrator
-from repro.serve import (AnomalyService, AnomalyTCPServer, BinaryClient,
-                         ServerTimeoutError, ServiceConfig, TCPClient)
+from repro.serve import (AnomalyService, AnomalyTCPServer, AnomalyWireServer,
+                         BinaryClient, ServerTimeoutError, ServiceConfig,
+                         TCPClient, TCPTransport)
 
 from serve_helpers import make_stream
 
 
 class ServerThread:
-    """Run an AnomalyTCPServer on an ephemeral port in a background thread."""
+    """Run an AnomalyTCPServer (or a ready-made ``server``) on an ephemeral
+    port in a background thread."""
 
     def __init__(self, detector, *, threshold=None, config=None,
-                 allow_shutdown=True):
-        service = AnomalyService(
-            detector, threshold=threshold,
-            config=config if config is not None
-            else ServiceConfig(max_batch=8, max_delay_ms=1.0))
-        self.server = AnomalyTCPServer(service, port=0,
-                                       allow_shutdown=allow_shutdown)
+                 allow_shutdown=True, server=None):
+        if server is None:
+            service = AnomalyService(
+                detector, threshold=threshold,
+                config=config if config is not None
+                else ServiceConfig(max_batch=8, max_delay_ms=1.0))
+            server = AnomalyTCPServer(service, port=0,
+                                      allow_shutdown=allow_shutdown)
+        self.server = server
         self._port_ready = threading.Event()
         self.port = None
         self.thread = threading.Thread(target=self._run, daemon=True)
@@ -263,6 +268,158 @@ class TestProtocol:
                 assert rejected
                 assert all("pending windows" in r["error"] for r in rejected)
                 client.shutdown()
+
+
+class _NoTableCopies(AnomalyService):
+    """``sessions`` copies the whole session table: a stream op that
+    reads it pays O(live sessions) per frame."""
+
+    @property
+    def sessions(self):
+        raise AssertionError("a stream op copied the session table")
+
+
+def _tenant_server(detector, service_type=AnomalyService, **options):
+    config = ServiceConfig(max_batch=8, max_delay_ms=1.0)
+    return AnomalyWireServer(
+        {"alpha": service_type(detector, config=config),
+         "beta": service_type(detector, config=config)},
+        TCPTransport("127.0.0.1", 0), default_tenant="alpha", **options)
+
+
+class TestStreamIndex:
+    def test_single_service_is_the_default_tenant(self, detectors):
+        with ServerThread(detectors["VARADE"]) as server:
+            assert server.server.services == {"default": server.server.service}
+            with TCPClient(port=server.port) as client:
+                assert client.open("s", tenant="default")["ok"]
+                assert list(client.snapshot()["services"]) == ["default"]
+                with pytest.raises(RuntimeError, match="unknown tenant"):
+                    client.open("t", tenant="someone-else")
+                reply = client.request({"op": "push", "stream": "u",
+                                        "tenant": "someone-else",
+                                        "values": [0.0, 0.0, 0.0]})
+                assert not reply["ok"] and "unknown tenant" in reply["error"]
+                assert client.stats()["live_sessions"] == 1
+
+    @pytest.mark.parametrize("client_type", [TCPClient, BinaryClient])
+    def test_stream_ops_never_copy_the_session_table(self, detectors,
+                                                     client_type):
+        data, _ = make_stream(12, seed=45)
+        server = _tenant_server(detectors["VARADE"], _NoTableCopies)
+        with ServerThread(None, server=server) as running:
+            with client_type(port=running.port) as client:
+                for index in range(40):
+                    client.open(f"s{index}",
+                                tenant="beta" if index % 2 else None)
+                client.push_stream("s7", data)
+                client.push_stream("auto-opened", data)
+                assert client.close_stream("s7")["samples_pushed"] == 12
+                assert client.stats()["live_sessions"] == 40
+            # ... and neither does the connection-drop cleanup
+            with TCPClient(port=running.port) as probe:
+                for _ in range(200):
+                    if probe.stats()["live_sessions"] == 0:
+                        break
+                    time.sleep(0.01)
+                assert probe.stats()["live_sessions"] == 0
+
+    def test_a_refused_open_leaves_the_first_owner_in_charge(self, detectors):
+        """Stream ids are per server: a second open is refused whichever
+        tenant it names (another tenant's would orphan the live session),
+        and the refusal must not move the stream to the intruder."""
+        server = _tenant_server(detectors["VARADE"])
+        with ServerThread(None, server=server) as running:
+            with TCPClient(port=running.port) as owner:
+                owner.open("s", tenant="beta")
+                with TCPClient(port=running.port) as intruder:
+                    for tenant in ("beta", "alpha", None):
+                        with pytest.raises(RuntimeError, match="already open"):
+                            intruder.open("s", tenant=tenant)
+                assert owner.ping()["ok"]
+                assert server._stream_tenants == {"s": "beta"}
+                assert owner.close_stream("s")["stream"] == "s"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_index_tracks_the_live_sessions_under_random_traffic(
+            self, detectors, seed):
+        """Whatever sequence of open / auto-opening push / export / import
+        / close / disconnect the connections send, the index is exactly
+        the union of the services' live sessions, tenant by tenant."""
+        rng = random.Random(seed)
+        server = _tenant_server(detectors["VARADE"], allow_handoff=True)
+        live = {}        # the model: stream -> tenant
+        owners = {}      # stream -> index of the connection that owns it
+        exported = []    # (tenant, state) blobs waiting for a new home
+        counter = 0
+
+        def settled():
+            for _ in range(500):
+                if server._stream_tenants == live:
+                    break
+                time.sleep(0.01)
+            assert server._stream_tenants == live
+            for tenant, service in server.services.items():
+                assert set(service.sessions) == {
+                    stream for stream, home in live.items() if home == tenant}
+
+        with ServerThread(None, server=server) as running:
+            def connect():
+                return rng.choice([TCPClient, BinaryClient])(port=running.port)
+            clients = [connect() for _ in range(3)]
+            try:
+                for _ in range(120):
+                    who = rng.randrange(len(clients))
+                    client = clients[who]
+                    mine = [s for s, owner in owners.items() if owner == who]
+                    action = rng.choice(["open", "push", "push_new", "close",
+                                         "export", "import", "disconnect"])
+                    tenant = rng.choice(["alpha", "beta"])
+                    if action == "open":
+                        counter += 1
+                        stream = f"s{counter}"
+                        client.open(stream, tenant=tenant)
+                        live[stream], owners[stream] = tenant, who
+                    elif action == "push_new":
+                        counter += 1
+                        stream = f"s{counter}"
+                        if client.protocol == "binary":
+                            tenant = "alpha"    # PUSH frames carry no tenant
+                            client.push(stream, [0.1, 0.2, 0.3])
+                        else:
+                            assert client.request({
+                                "op": "push", "stream": stream,
+                                "tenant": tenant,
+                                "values": [0.1, 0.2, 0.3]})["ok"]
+                        live[stream] = tenant
+                        owners[stream] = who
+                    elif action == "push" and live:
+                        client.push(rng.choice(sorted(live)), [0.3, 0.2, 0.1])
+                    elif action == "close" and mine:
+                        stream = rng.choice(mine)
+                        client.close_stream(stream)
+                        del live[stream], owners[stream]
+                    elif action == "export" and mine:
+                        stream = rng.choice(mine)
+                        reply = client.export_session(stream)
+                        assert reply["tenant"] == live[stream]
+                        exported.append((reply["tenant"], reply["state"]))
+                        del live[stream], owners[stream]
+                    elif action == "import" and exported:
+                        home, state = exported.pop(rng.randrange(len(exported)))
+                        stream = client.import_session(home, state)["stream"]
+                        live[stream], owners[stream] = home, who
+                    elif action == "disconnect":
+                        client.close()
+                        for stream in mine:
+                            del live[stream], owners[stream]
+                        clients[who] = connect()
+                    settled()
+            finally:
+                for client in clients:
+                    client.close()
+            live.clear()
+            settled()
 
 
 class _SilentServer:
