@@ -65,6 +65,7 @@ if [[ "$mode" != "--benchmarks-only" ]]; then
     echo
     echo "== traced benchmark smoke: per-layer harness drives batcher/session directly =="
     python3 bench/run.py --workload fleet_binary --quick --seconds 0.5 --trace 1 >/dev/null
+    python3 bench/run.py --workload paced_alarm --quick --seconds 0.5 --trace 1 >/dev/null
     echo "traced benchmark smoke: OK"
 
     echo

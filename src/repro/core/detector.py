@@ -354,8 +354,20 @@ class VaradeIncrementalScorer:
 
     def push_many(self, samples: np.ndarray) -> np.ndarray:
         """Advance by a chunk of samples; NaN rows mark the warm-up prefix."""
+        samples = np.asarray(samples, dtype=np.float64)
+        if samples.ndim == 2 and samples.shape[0] == 1:
+            # One row: the single-column push skips the chunk set-up, which
+            # costs more than the row itself at serving sizes (same bits).
+            score = self.push(samples[0])
+            return np.array([np.nan if score is None else score])
         heads = self._plan.push_many(samples)
         return self._score_rows(heads["log_var"])
+
+    @property
+    def warmup_left(self) -> int:
+        """Leading rows of the next push (or chunk) that will score ``None``
+        (NaN): the rest of the warm-up, or a fresh one after a weight swap."""
+        return self._plan.warmup_left
 
     @staticmethod
     def _score_rows(log_var: np.ndarray) -> np.ndarray:

@@ -600,6 +600,15 @@ class IncrementalForwardPlan:
         """Whether the buffers cover a full window (push returns outputs)."""
         return self._t > self._warm_t
 
+    @property
+    def warmup_left(self) -> int:
+        """Pushes before the next one that returns outputs (0 when the next
+        push does); operands replaced since the last push count as the
+        restart the next push will make."""
+        if self._plan._stream_stale(self._ops):
+            return self._warm_t
+        return max(0, self._warm_t - self._t)
+
     def reset(self) -> None:
         """Forget all stream state (call on any gap in the sample stream)."""
         self._t = 0

@@ -13,7 +13,9 @@ loop that drives the first two over recorded streams -- see
   rolling context window, (optional) input scaler, resolved alarm
   threshold and an independent drift-adaptation lane;
   ``push(sample) -> Optional[Alarm]`` scores inline, while the
-  ``submit``/``complete`` halves let a scheduler batch the scoring.
+  ``submit``/``complete`` halves let a scheduler batch the scoring and
+  ``submit_many(block)`` ingests a block, completing on the spot what its
+  incremental lane scores.
   Sessions are created and closed dynamically -- no fixed fleet.
 * :class:`MicroBatcher` -- the latency-budgeted scheduler.  Coalesces the
   windows pending across *all* live sessions into one
@@ -22,7 +24,8 @@ loop that drives the first two over recorded streams -- see
   queues and an explicit backpressure policy (``"block"`` /
   ``"drop_oldest"`` / ``"reject"``).
 * :class:`AnomalyService` -- the asyncio front door
-  (``await service.push(stream_id, sample)``,
+  (``await service.push_block(stream_id, block)`` or
+  ``await service.push(stream_id, sample)``,
   ``async for alarm in service.alarms()``), plus the networked wire layer
   so out-of-process producers can stream samples in.  Wired into the
   pipeline as :meth:`repro.pipeline.Pipeline.deploy_service` and the CLI

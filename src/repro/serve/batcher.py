@@ -16,9 +16,15 @@ whenever a batch fills, and the Hypothesis property suite drives it with a
 fake clock.  Scoring order inside a flush is FIFO across sessions, which
 preserves per-session order; detectors' batched scoring is batch-invariant
 (bit-identical per row regardless of batch composition -- the PR-1 parity
-contract), so micro-batching never changes a score.  Requests pre-scored by
-a session's incremental lane (:mod:`repro.serve.session`) ride through the
-same queue for ordering and backpressure but skip the batched call.
+contract), so micro-batching never changes a score.
+
+On the serving path the queue carries only what needs it: samples a
+session's incremental lane scored at submit complete there and then
+(:meth:`~repro.serve.session.ScoringSession.submit_many`) and are merely
+counted here (:meth:`MicroBatcher.record_completed`).  Requests that still
+arrive pre-scored -- from an incremental session warming up again after a
+weight swap, with requests already queued, or whose stream a canary
+shadows -- ride the queue for ordering and skip the batched call.
 
 Backpressure
 ------------
@@ -36,13 +42,16 @@ session's queue is full, ``backpressure`` picks the policy:
 * ``"reject"`` -- raise :class:`QueueFullError` and accept nothing.
   Chooses explicitness: right for ingestion APIs that must tell the
   producer to back off (the TCP server turns it into an error reply).
+
+The policies govern queued requests only: a sample completed at submit never
+takes a slot, so it is never waited on, shed or refused.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -306,6 +315,19 @@ class MicroBatcher:
         if self.shadow is not None:
             self.shadow(batch)
         return results
+
+    def record_completed(self, samples: Sequence[ScoredSample]) -> None:
+        """Count samples a session completed at submit as one flush.
+
+        They add to ``flushes``, ``scored``, ``scoring_time_s`` and the
+        occupancy histogram -- so ``scored + dropped + pending`` still
+        covers every submitted window -- but not to the queue-delay
+        histogram: they never waited.
+        """
+        self.flushes += 1
+        self.scored += len(samples)
+        self.scoring_time_s += sum(sample.latency_s for sample in samples)
+        self.occupancy_histogram.add(len(samples))
 
     def flush_due(self, now: Optional[float] = None) -> List[ScoredSample]:
         """Flush only if the batch is full or the latency budget expired."""

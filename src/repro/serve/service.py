@@ -1,12 +1,14 @@
 """Asyncio front door: dynamic sessions, micro-batched scoring, alarm stream.
 
 :class:`AnomalyService` is the push-based serving API VARADE's real-time
-pitch implies: producers ``await service.push(stream_id, sample)`` at
-whatever unaligned, bursty rates their sensors deliver, a single scheduler
-task coalesces everything pending into micro-batches under a latency
-budget, and consumers ``async for alarm in service.alarms()``.  Sessions
-are created and closed dynamically -- there is no fixed fleet at
-construction.
+pitch implies: producers ``await service.push_block(stream_id, block)``
+(or ``push`` for one sample) at whatever unaligned, bursty rates their
+sensors deliver, and consumers ``async for alarm in service.alarms()``.
+A block whose scores the session's incremental lane produces is completed
+and alarmed before ``push_block`` returns; everything else (baselines,
+``incremental=False``, a lane warming up) is coalesced by a single
+scheduler task into micro-batches under a latency budget.  Sessions are
+created and closed dynamically -- there is no fixed fleet at construction.
 
 The service is a thin asyncio shell over the deterministic synchronous
 core (:class:`~repro.serve.session.ScoringSession` +
@@ -31,8 +33,8 @@ from ..core.detector import AnomalyDetector
 from ..drift.policy import AdaptationPolicy
 from ..edge.monitor import StreamingHistogram
 from ..obs import Observability
-from .batcher import MicroBatcher, validate_batcher_knobs
-from .session import Alarm, ScoredSample, ScoringSession
+from .batcher import MicroBatcher, QueueFullError, validate_batcher_knobs
+from .session import Alarm, ScoredSample, ScoringSession, SessionClosedError
 
 __all__ = ["ServiceConfig", "ServiceStats", "AnomalyService"]
 
@@ -60,7 +62,7 @@ class ServiceConfig:
     wire op, :meth:`AnomalyService.metrics_text`) plus, when
     ``trace_events > 0``, a bounded ring of Chrome-trace events capturing
     flush spans, enqueue-to-score latencies, incremental-lane engagement
-    and drift adaptations (the ``trace`` op,
+    and its ``score_block`` spans, and drift adaptations (the ``trace`` op,
     :meth:`AnomalyService.trace_export`).  Off by default: the disabled
     path runs the exact pre-observability instructions, scores
     bit-identical.  ``trace_events`` is the ring capacity -- the *oldest*
@@ -97,7 +99,12 @@ class ServiceConfig:
 
 @dataclass
 class ServiceStats:
-    """Aggregate telemetry of one service (histograms, not traces)."""
+    """Aggregate telemetry of one service (histograms, not traces).
+
+    ``flushes`` counts scoring completions: batcher flushes plus blocks
+    completed at submit; ``queue_delay_histogram`` covers queued windows
+    only.
+    """
 
     sessions_opened: int
     sessions_closed: int
@@ -229,12 +236,13 @@ class AnomalyService:
         await service.open_session("cell-7")
         ...
         await service.push("cell-7", sample)        # backpressure-aware
+        await service.push_block("cell-7", block)   # (samples, channels)
         async for alarm in service.alarms():        # ScoredSample, alarm=True
             ...
         await service.close_session("cell-7")       # drains, then closes
         await service.stop()
 
-    ``push`` auto-opens unknown sessions by default, so a producer can
+    ``push``/``push_block`` auto-open unknown sessions by default, so a producer can
     stream without a handshake; pass ``auto_open=False`` to require an
     explicit :meth:`open_session`.  All sessions share one detector and
     one micro-batcher; each gets its own independent threshold/adaptation
@@ -658,18 +666,44 @@ class AnomalyService:
 
     # -- ingestion ---------------------------------------------------------- #
     async def push(self, stream_id: str, values) -> None:
-        """Ingest one sample for ``stream_id``, respecting backpressure.
+        """Ingest one sample for ``stream_id``: :meth:`push_block` of one
+        row."""
+        await self.push_block(
+            stream_id, np.asarray(values, dtype=np.float64).reshape(1, -1))
+
+    async def push_block(self, stream_id: str, block) -> None:
+        """Ingest a ``(samples, channels)`` block for ``stream_id``.
+
+        One session lookup, one channel check and one
+        :meth:`~repro.serve.session.ScoringSession.submit_many` per block.
+        Samples the session's incremental lane scores complete (and alarm)
+        before this returns; the rest are queued for the scheduler.  Every
+        check that can fail -- unknown stream with ``auto_open`` off,
+        channel count, closed session, a full queue under ``"reject"`` --
+        runs before any row is ingested, so such a failure leaves the
+        stream untouched.
 
         Under the ``"block"`` policy a full per-session queue makes this
         coroutine wait for the scheduler to drain -- it never deadlocks,
         because the scheduler task flushes independently.  Under
         ``"reject"`` a full queue raises
-        :class:`~repro.serve.batcher.QueueFullError`; under
-        ``"drop_oldest"`` the session's stalest pending window is shed.
-        Alarms surface on :meth:`alarms` / :meth:`events`, not here.
+        :class:`~repro.serve.batcher.QueueFullError`; when it fills part
+        way through a block, the rows that fit are ingested and the error
+        says how many.  Under ``"drop_oldest"`` the session's stalest
+        pending window is shed.  Alarms surface on :meth:`alarms` /
+        :meth:`events`, not here.
         """
         self._require_running()
         stream_id = str(stream_id)
+        block = np.asarray(block, dtype=np.float64)
+        if block.ndim != 2 or block.shape[0] == 0:
+            raise ValueError("push needs a non-empty (samples, channels) block")
+        rows, channels = block.shape
+        if self._n_channels is not None and channels != self._n_channels:
+            raise ValueError(
+                f"stream {stream_id!r} pushed {channels} channels; "
+                f"this service scores {self._n_channels}-channel streams"
+            )
         session = self._sessions.get(stream_id)
         if session is None:
             if not self.auto_open:
@@ -678,14 +712,6 @@ class AnomalyService:
                     f"open_session first)"
                 )
             session = await self.open_session(stream_id)
-        values = np.asarray(values, dtype=np.float64).ravel()
-        if self._n_channels is None:
-            self._n_channels = int(values.shape[0])
-        elif values.shape[0] != self._n_channels:
-            raise ValueError(
-                f"stream {stream_id!r} pushed {values.shape[0]} channels; "
-                f"this service scores {self._n_channels}-channel streams"
-            )
         if self.config.backpressure == "block":
             while self._running and self._batcher.is_full(session):
                 self._space.clear()
@@ -706,19 +732,43 @@ class AnomalyService:
             # every live session onto fresh ScoringSession objects -- re-fetch
             # so the sample lands in the live session, not the stale one.
             session = self._sessions.get(stream_id, session)
-        request = session.submit(values)
-        self._pushed += 1
-        if request is None:
-            return
-        # Non-"block" policies are handled inside the core (drop/reject).
-        self._broadcast(self._batcher.enqueue(request))
-        self._work.set()
-        if self._batcher.pending_count() >= self._batcher.max_batch:
-            # Wake a scheduler sleeping out its latency budget: the batch
-            # is full, there is nothing left to wait for.  (Idle->working
-            # transitions ride on _work; per-push wake-ups would churn a
-            # timer per sample.)
-            self._batch_full.set()
+        if session.closed:
+            raise SessionClosedError(f"session {stream_id!r} is closed")
+        # A canary shadow-scores queued requests only (it needs contexts).
+        canary = self._canary
+        immediate = canary is None or canary.stopped \
+            or not canary.is_shadowed(stream_id)
+        batcher = self._batcher
+        accepted = rows
+        if self.config.backpressure == "reject":
+            accepted = session.rows_within(
+                rows, batcher.max_queue - batcher.pending_count(session),
+                immediate=immediate)
+        self._n_channels = channels
+        if accepted:
+            completed, queued = session.submit_many(block[:accepted],
+                                                    immediate=immediate)
+            self._pushed += accepted
+            if completed:
+                batcher.record_completed(completed)
+                self._broadcast(completed)
+            if queued:
+                # Non-"block" policies are handled inside the core.
+                for request in queued:
+                    self._broadcast(batcher.enqueue(request))
+                self._work.set()
+                if batcher.pending_count() >= batcher.max_batch:
+                    # Wake a scheduler sleeping out its latency budget: the
+                    # batch is full, there is nothing left to wait for.
+                    # (Idle->working transitions ride on _work; per-push
+                    # wake-ups would churn a timer per sample.)
+                    self._batch_full.set()
+        if accepted < rows:
+            raise QueueFullError(
+                f"session {stream_id!r} has "
+                f"{batcher.pending_count(session)} pending windows "
+                f"(max_queue={batcher.max_queue}); accepted {accepted} of "
+                f"{rows} rows")
 
     # -- event stream -------------------------------------------------------- #
     async def events(self) -> AsyncIterator[ScoredSample]:
@@ -842,7 +892,8 @@ class AnomalyService:
             fn=lambda: self._blocked_pushers)
         registry.counter(
             "repro_batcher_flushes_total",
-            "Micro-batch scoring calls issued.", fn=batcher_field("flushes"))
+            "Micro-batch flushes plus blocks completed at submit.",
+            fn=batcher_field("flushes"))
         registry.counter(
             "repro_batcher_scoring_seconds_total",
             "Wall-clock seconds spent producing scores.",
@@ -854,7 +905,7 @@ class AnomalyService:
             if self._batcher is not None else 0)
         registry.summary(
             "repro_batcher_queue_delay_seconds",
-            "Enqueue-to-score latency per scored window.",
+            "Enqueue-to-score latency per queued window.",
             histogram=lambda: self._batcher.queue_delay_histogram
             if self._batcher is not None
             else StreamingHistogram.log_spaced(1e-6, 60.0))

@@ -38,13 +38,20 @@ micro-batcher alike) complete such requests without re-scoring them.
 Incremental scores are bit-identical to ``score_windows_batch`` by the
 :mod:`repro.nn.fastpath` parity contract, so the lane changes the serving
 hot path's cost, never its results.
+
+:meth:`ScoringSession.submit_many` is the block form the serving front door
+uses: one scaler call, one ring write and one incremental ``push_many`` per
+block.  Samples whose score comes back from that call are completed on the
+spot -- no :class:`WindowRequest`, no scheduler -- whenever nothing of the
+session's is still in flight; the rest are emitted as requests exactly as
+:meth:`submit` would have emitted them.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -147,7 +154,8 @@ class ScoringSession:
         scorer (:meth:`~repro.core.detector.AnomalyDetector.
         incremental_scorer`) at submit time, stashing the result on the
         emitted :class:`WindowRequest` so schedulers skip the batched
-        call for it.  Incremental scores are bit-identical to the batch
+        call for it (or, in :meth:`submit_many`, completing it on the
+        spot).  Incremental scores are bit-identical to the batch
         path, so this changes latency, never results.  Silently falls back
         to batch scoring when the detector has no incremental path (most
         baselines) or its first push rejects the stream's shape.
@@ -155,7 +163,8 @@ class ScoringSession:
         Optional :class:`repro.obs.TraceRecorder`.  When set, the session
         records incremental-lane engagement (an ``"incremental_lane"``
         instant at open, ``"incremental_lane_disabled"`` if the lane falls
-        back) and one ``"adaptation"`` instant per drift-adaptation event,
+        back), one ``"score_block"`` span per :meth:`submit_many` scorer
+        call and one ``"adaptation"`` instant per drift-adaptation event,
         all on the stream's own track.  ``None`` (the default) records
         nothing; scores, alarms and adaptation are bit-identical either
         way.
@@ -333,6 +342,140 @@ class ScoringSession:
             self._push_ring(values)
         return request
 
+    def submit_many(self, block: np.ndarray, *, immediate: bool = True
+                    ) -> Tuple[List[ScoredSample], List[WindowRequest]]:
+        """Ingest a ``(samples, channels)`` block; return what it produced.
+
+        Returns ``(completed, queued)``.  ``completed`` holds the samples
+        whose incremental score came back from the block and were completed
+        at once (threshold, adaptation) -- only when ``immediate`` is set
+        and none of the session's earlier requests is still outstanding, so
+        completion order holds.  ``queued`` holds the requests a scheduler
+        must complete, in order, exactly as :meth:`submit` would have
+        emitted them (pre-scored where the lane already knows the score).
+        A block is all one or all the other.  Scores, alarms and adaptation
+        are bit-identical to submitting the rows one at a time.
+        """
+        if self._closed:
+            raise SessionClosedError(
+                f"session {self.stream_id!r} is closed"
+            )
+        block = np.asarray(block, dtype=np.float64)
+        if block.ndim != 2 or block.shape[0] == 0:
+            raise ValueError(
+                f"expected a non-empty (samples, channels) block, "
+                f"got shape {block.shape}")
+        if self.scaler is not None:
+            block = np.asarray(self.scaler.transform(block), dtype=np.float64)
+        count, channels = block.shape
+        if self._ring is None:
+            if channels < 1:
+                raise ValueError("samples must carry at least one channel")
+            self._ring = np.empty((self.detector.window, channels))
+        elif channels != self._ring.shape[1]:
+            raise ValueError(
+                f"expected {self._ring.shape[1]} channels, got {channels}"
+            )
+        first, last = self._emitted(count)
+        queue = self._queues(first, immediate)
+        base = self._pushed
+        self._pushed += count
+        if self.record:
+            self._scores.extend([float("nan")] * count)
+            self._alarms.extend([0] * count)
+            self._trace.extend([float("nan")] * count)
+
+        scores = None
+        scored_from = count
+        latency = 0.0
+        if self._scorer is not None:
+            scored_from = min(count, self._scorer.warmup_left)
+            start = time.perf_counter()
+            try:
+                scores = self._scorer.push_many(block)
+            except ValueError:
+                # The submit()-time fallback, for the whole block.
+                self._scorer = None
+                queue = True
+                if self._tracer is not None:
+                    self._tracer.instant("incremental_lane_disabled",
+                                         self.stream_id, index=base)
+            else:
+                end = time.perf_counter()
+                latency = (end - start) / count
+                if self._tracer is not None:
+                    self._tracer.span("score_block", self.stream_id,
+                                      start, end, index=base, rows=count,
+                                      completed=0 if queue else last - first)
+
+        completed: List[ScoredSample] = []
+        queued: List[WindowRequest] = []
+        if queue and first < last:
+            # Contexts are views into one (retained + block) history array.
+            history = np.concatenate((self._ring_history(), block))
+            stop = history.shape[0] - count \
+                + int(self.detector.scores_current_sample)
+            window = self.detector.window
+            for row in range(first, last):
+                request = WindowRequest(
+                    session=self, seq=self._submitted, index=base + row,
+                    context=history[stop + row - window:stop + row],
+                    target=block[row])
+                if scores is not None and row >= scored_from:
+                    request.score = float(scores[row])
+                    request.score_latency_s = latency
+                self._submitted += 1
+                queued.append(request)
+        elif first < last:
+            done = last - first
+            self._submitted += done
+            self._next_complete += done
+            self._completed += done
+            completed = [self._decide(base + row, block[row],
+                                      float(scores[row]), latency, None)
+                         for row in range(first, last)]
+        self._write_ring(block)
+        return completed, queued
+
+    def rows_within(self, count: int, room: int, *,
+                    immediate: bool = True) -> int:
+        """How many leading rows of a ``count``-row block
+        :meth:`submit_many` can take while queueing at most ``room``
+        requests (all ``count`` when the block would complete at once)."""
+        first, last = self._emitted(count)
+        if last - first <= room or not self._queues(first, immediate):
+            return count
+        return first + room
+
+    def _emitted(self, count: int) -> Tuple[int, int]:
+        """Rows ``[first, last)`` of the next ``count``-row block that emit
+        a request: past the window fill, within the ``max_samples`` budget."""
+        lead = int(self.detector.scores_current_sample)
+        first = min(count, max(0, self.detector.window - lead - self._filled))
+        if self.max_samples is None:
+            return first, count
+        return first, min(count, first + max(0, self.max_samples
+                                             - self._submitted))
+
+    def _queues(self, first: int, immediate: bool) -> bool:
+        """Whether the next block's requests (from row ``first``) must go
+        through a scheduler rather than complete at submit."""
+        return not (immediate and self._scorer is not None
+                    and self._submitted == self._completed + self._dropped
+                    and first >= self._scorer.warmup_left)
+
+    def _write_ring(self, block: np.ndarray) -> None:
+        """Write a block into the ring in at most two slice copies."""
+        window = self._ring.shape[0]
+        count = block.shape[0]
+        rows = block[-window:]
+        start = (self._cursor + count - rows.shape[0]) % window
+        split = min(rows.shape[0], window - start)
+        self._ring[start:start + split] = rows[:split]
+        self._ring[:rows.shape[0] - split] = rows[split:]
+        self._cursor = (self._cursor + count) % window
+        self._filled += count
+
     def _push_ring(self, values: np.ndarray) -> None:
         self._ring[self._cursor] = values
         self._cursor += 1
@@ -362,7 +505,14 @@ class ScoringSession:
         self._next_complete += 1
         self._skip_discarded()
         self._completed += 1
-        score = float(score)
+        return self._decide(request.index, request.target, float(score),
+                            latency_s, queue_delay_s)
+
+    def _decide(self, index: int, target: np.ndarray, score: float,
+                latency_s: float,
+                queue_delay_s: Optional[float]) -> ScoredSample:
+        """Classify one in-order score, then learn from it (the counters
+        are the caller's)."""
         threshold_value: Optional[float] = None
         alarm = False
         if self._adapter is not None:
@@ -370,30 +520,28 @@ class ScoringSession:
             alarm = score > threshold_value
             if self._tracer is not None:
                 known = len(self._adapter.events)
-                self._adapter.observe(request.index, score,
-                                      raw=request.target)
+                self._adapter.observe(index, score, raw=target)
                 for event in self._adapter.events[known:]:
                     self._tracer.instant(
                         "adaptation", self.stream_id,
-                        index=request.index, kind=event.kind,
+                        index=index, kind=event.kind,
                         trigger=event.trigger,
                         old_threshold=event.old_threshold,
                         new_threshold=event.new_threshold)
             else:
-                self._adapter.observe(request.index, score,
-                                      raw=request.target)
+                self._adapter.observe(index, score, raw=target)
         elif self._resolved is not None:
             threshold_value = self._resolved.threshold
             alarm = score > threshold_value
         if self.record:
-            self._scores[request.index] = score
+            self._scores[index] = score
             if threshold_value is not None:
-                self._alarms[request.index] = int(alarm)
-                self._trace[request.index] = threshold_value
+                self._alarms[index] = int(alarm)
+                self._trace[index] = threshold_value
             self._latencies.append(latency_s)
         return ScoredSample(
             stream_id=self.stream_id,
-            index=request.index,
+            index=index,
             score=score,
             threshold=threshold_value,
             alarm=alarm,
@@ -586,7 +734,7 @@ class ScoringSession:
 
     def _ring_history(self) -> np.ndarray:
         """The retained samples in push order (at most ``window`` of them)."""
-        if self._ring is None or self._filled == 0:
+        if self._ring is None:
             return np.empty((0, 0))
         if self._filled < self._ring.shape[0]:
             # Never wrapped: rows [0, filled) are already in push order.

@@ -669,15 +669,21 @@ class AnomalyWireServer:
         stream_id = _required_stream(message)
         block = _push_block(message)
         tenant = self._stream_tenants.get(stream_id)
-        if tenant is None:      # the service auto-opens on the first row
+        fresh = tenant is None
+        if fresh:               # the service auto-opens on the first block
             tenant = self._tenant_for(message)
             self._register_stream(stream_id, tenant, owned)
         service = self.services[tenant]
         try:
-            for row in block:
-                await service.push(stream_id, row)
-        except KeyError:        # no such session and auto_open is off
-            self._forget_stream(stream_id, owned)
+            await service.push_block(stream_id, block)
+        except Exception:
+            if fresh:
+                try:
+                    service.session(stream_id)
+                except KeyError:
+                    # A refused first block (auto_open off, wrong channel
+                    # count) opened nothing: it must not claim the id.
+                    self._forget_stream(stream_id, owned)
             raise
         return {"accepted": int(block.shape[0])}
 

@@ -1,21 +1,30 @@
 """Incremental-lane serving tests: eager per-sample scoring end to end.
 
 Sessions score each sample with the detector's O(1)-per-sample incremental
-scorer at submit time and stash the result on the emitted request; the
-micro-batcher completes such requests without re-scoring them.  These tests
-hold the lane to its contract: bit-identical scores/alarms/adaptation to the
-batch path, correct FIFO completion when pre-scored and batch-scored
-requests share a flush, a skipped gemm when everything is pre-scored, and a
+scorer at submit time.  A pushed block is scored with one ``push_many`` and,
+when nothing of the session's is queued, completed on the spot; otherwise
+the scores ride the micro-batcher queue on their requests and the batcher
+completes them without re-scoring.  These tests hold the lane to its
+contract: bit-identical scores/alarms/adaptation to the batch path whatever
+the block partition, correct FIFO completion when pre-scored and
+batch-scored requests share a flush or a session falls back to the queue
+mid-stream, a skipped gemm (and queue) when everything is pre-scored, and a
 silent fallback to batch scoring wherever the lane cannot engage.
 """
 
 import asyncio
+import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ThresholdCalibrator
 from repro.drift import AdaptationPolicy
+from repro.lifecycle import CanaryController, GoldenBaseline
+from repro.lifecycle.baseline import latency_histogram, score_histogram
 from repro.serve import AnomalyService, MicroBatcher, ServiceConfig
 from repro.serve.session import ScoringSession
 
@@ -203,3 +212,377 @@ class TestServiceToggle:
         assert on.incremental_active and not off.incremental_active
         np.testing.assert_array_equal(on.result().scores, off.result().scores)
         assert on.samples_scored == off.samples_scored > 0
+
+
+# --------------------------------------------------------------------------- #
+# Block ingestion: AnomalyService.push_block / ScoringSession.submit_many
+# --------------------------------------------------------------------------- #
+BLOCK_CONFIG = ServiceConfig(max_batch=8, max_delay_ms=1.0,
+                             record_sessions=True, event_buffer=1 << 16)
+
+
+def _blocks(data, size):
+    return [data[start:start + size] for start in range(0, len(data), size)]
+
+
+def _partition(data, sizes):
+    """Cut ``data`` into consecutive blocks, cycling through ``sizes``."""
+    blocks, start = [], 0
+    while start < len(data):
+        size = sizes[len(blocks) % len(sizes)]
+        blocks.append(data[start:start + size])
+        start += size
+    return blocks
+
+
+def _shifted_stream(n_samples, seed):
+    """A stream whose second half drifts, so adaptation lanes fire."""
+    data, _ = make_stream(n_samples, seed=seed)
+    data[n_samples // 2:] *= 3.0
+    return data
+
+
+def _adaptive(detector, train_stream):
+    scores = detector.score_stream(train_stream).valid_scores()
+    return {
+        "threshold": ThresholdCalibrator(quantile=0.75).calibrate(scores),
+        "adaptation": AdaptationPolicy(reservoir_size=32, min_reservoir=8,
+                                       confirm_samples=8, cooldown=16),
+    }
+
+
+def _empty_baseline():
+    return GoldenBaseline(
+        fingerprint="fp-test", detector="VARADE", streams=1,
+        samples_scored=0, alarms=0, score_histogram=score_histogram(),
+        latency_histogram=latency_histogram())
+
+
+async def _subscribe(service):
+    """Record every broadcast sample until the service stops."""
+    seen = []
+
+    async def consume():
+        async for sample in service.events():
+            seen.append(sample)
+
+    task = asyncio.create_task(consume())
+    await asyncio.sleep(0)
+    return seen, task
+
+
+def _serve_blocks(detector, blocks, *, push_rows=False, incremental=True,
+                  max_samples=None, **service_kwargs):
+    """Push ``blocks`` through one service session (``push_rows``: one
+    :meth:`AnomalyService.push` per row instead); return the closed
+    session and every broadcast sample."""
+    config = replace(BLOCK_CONFIG, incremental=incremental)
+
+    async def main():
+        async with AnomalyService(detector, config=config,
+                                  **service_kwargs) as service:
+            seen, task = await _subscribe(service)
+            await service.open_session("s0", max_samples=max_samples)
+            for block in blocks:
+                if push_rows:
+                    for row in block:
+                        await service.push("s0", row)
+                else:
+                    await service.push_block("s0", block)
+            session = await service.close_session("s0")
+        await task
+        return session, seen
+
+    return asyncio.run(main())
+
+
+def _row_reference(detector, data, **kwargs):
+    """Per-row ``push`` on the queued batch lane: the path every block
+    partition must reproduce bit for bit."""
+    return _serve_blocks(detector, [data], push_rows=True, incremental=False,
+                         **kwargs)
+
+
+def _assert_same_stream(got, want):
+    (session, seen), (ref, ref_seen) = got, want
+    result, expected = session.result(), ref.result()
+    np.testing.assert_array_equal(result.scores, expected.scores)
+    np.testing.assert_array_equal(result.alarms, expected.alarms)
+    np.testing.assert_array_equal(result.threshold_trace,
+                                  expected.threshold_trace)
+    assert result.adaptation_events == expected.adaptation_events
+    assert [(s.index, s.score, s.threshold, s.alarm) for s in seen] \
+        == [(s.index, s.score, s.threshold, s.alarm) for s in ref_seen]
+
+
+class TestBlockParity:
+    @pytest.mark.parametrize("kind", ["float", "int8"])
+    @pytest.mark.parametrize("size", [1, 3, 8, 64, 300])
+    def test_blocks_match_per_row_push_and_score_stream(
+            self, detectors, varade_int8, train_stream, kind, size):
+        detector = detectors["VARADE"] if kind == "float" else varade_int8
+        data = _shifted_stream(650, seed=80)
+        kwargs = _adaptive(detector, train_stream)
+        got = _serve_blocks(detector, _blocks(data, size), **kwargs)
+        _assert_same_stream(got, _row_reference(detector, data, **kwargs))
+        session, seen = got
+        np.testing.assert_array_equal(session.result().scores,
+                                      detector.score_stream(data).scores)
+        assert session.adaptation_events
+        assert session.samples_scored == len(data) - detector.window + 1
+        # Every sample completed at submit: none waited in the queue.
+        assert all(sample.queue_delay_s is None for sample in seen)
+
+    def test_warmup_straddling_a_block(self, detectors):
+        detector = detectors["VARADE"]
+        window = detector.window
+        data, _ = make_stream(40, seed=81)
+        cuts = [data[:window - 3], data[window - 3:window + 4],
+                data[window + 4:]]
+        got = _serve_blocks(detector, cuts)
+        _assert_same_stream(got, _row_reference(detector, data))
+        assert all(sample.queue_delay_s is None for sample in got[1])
+
+    def test_max_samples_running_out_mid_block(self, detectors,
+                                               train_stream):
+        detector = detectors["VARADE"]
+        data = _shifted_stream(40, seed=82)
+        kwargs = _adaptive(detector, train_stream)
+        got = _serve_blocks(detector, _blocks(data, 8), max_samples=10,
+                            **kwargs)
+        _assert_same_stream(got, _row_reference(detector, data,
+                                                max_samples=10, **kwargs))
+        session = got[0]
+        assert session.samples_pushed == len(data)
+        assert session.samples_scored == 10
+        assert np.isnan(session.result().scores[detector.window - 1 + 10:]) \
+            .all()
+
+    def test_one_service_mixes_incremental_and_batch_lane_sessions(
+            self, detectors, train_stream):
+        """A batch-lane session (imported from an ``incremental=False``
+        worker) and an incremental one share a service and its queue."""
+        detector = detectors["VARADE"]
+        kwargs = _adaptive(detector, train_stream)
+        streams = {"inc": _shifted_stream(200, seed=83),
+                   "bat": _shifted_stream(200, seed=84)}
+        batch_config = replace(BLOCK_CONFIG, incremental=False)
+
+        async def main():
+            async with AnomalyService(detector, config=batch_config,
+                                      **kwargs) as other:
+                await other.open_session("bat")
+                blob = await other.export_session("bat")
+            async with AnomalyService(detector, config=BLOCK_CONFIG,
+                                      **kwargs) as service:
+                seen, task = await _subscribe(service)
+                await service.import_session(blob)
+                await service.open_session("inc")
+                lanes = {sid: service.session(sid).incremental_active
+                         for sid in streams}
+                for blocks in zip(*(_blocks(data, 8)
+                                    for data in streams.values())):
+                    for sid, block in zip(streams, blocks):
+                        await service.push_block(sid, block)
+                sessions = {sid: await service.close_session(sid)
+                            for sid in streams}
+            await task
+            return lanes, sessions, seen
+
+        lanes, sessions, seen = asyncio.run(main())
+        assert lanes == {"inc": True, "bat": False}
+        for sid, data in streams.items():
+            got = (sessions[sid], [s for s in seen if s.stream_id == sid])
+            _assert_same_stream(got, _row_reference(detector, data,
+                                                    **kwargs))
+        queued = {s.stream_id for s in seen if s.queue_delay_s is not None}
+        assert queued == {"bat"}
+
+
+class TestBlockInterleaving:
+    def test_swap_between_blocks_scores_like_the_candidate(
+            self, detectors, varade_int8, monkeypatch):
+        detector = detectors["VARADE"]
+        data, _ = make_stream(120, seed=85)
+        split = 56
+        enqueued = []
+        enqueue = MicroBatcher.enqueue
+        monkeypatch.setattr(MicroBatcher, "enqueue", lambda self, request:
+                            enqueued.append(request) or enqueue(self, request))
+
+        async def main():
+            async with AnomalyService(detector,
+                                      config=BLOCK_CONFIG) as service:
+                for block in _blocks(data[:split], 8):
+                    await service.push_block("s0", block)
+                await service.swap_detector(varade_int8)
+                for block in _blocks(data[split:], 8):
+                    await service.push_block("s0", block)
+                return await service.close_session("s0")
+
+        session = asyncio.run(main())
+        scores = session.result().scores
+        np.testing.assert_array_equal(
+            scores[:split], detector.score_stream(data).scores[:split])
+        np.testing.assert_array_equal(
+            scores[split:], varade_int8.score_stream(data).scores[split:])
+        # The migrated session re-warms from its ring: nothing queues.
+        assert session.incremental_active and not enqueued
+
+    def test_weight_replacement_queues_then_returns_to_immediate(
+            self, detectors, monkeypatch):
+        """``load_state_dict`` restarts the scorer's warm-up: the next
+        block's requests queue (the warm-up rows batch-scored under the new
+        weights), and once they drain the lane completes at submit again --
+        with every score in stream order."""
+        detector = copy.deepcopy(detectors["VARADE"])
+        data, _ = make_stream(160, seed=86)
+        split = 64
+        before = detector.score_stream(data).scores
+        enqueued = []
+        enqueue = MicroBatcher.enqueue
+        monkeypatch.setattr(MicroBatcher, "enqueue", lambda self, request:
+                            enqueued.append(request.index)
+                            or enqueue(self, request))
+
+        async def main():
+            async with AnomalyService(detector,
+                                      config=BLOCK_CONFIG) as service:
+                seen, task = await _subscribe(service)
+                for block in _blocks(data[:split], 8):
+                    await service.push_block("s0", block)
+                network = detector.network
+                network.load_state_dict({
+                    name: 1.1 * value
+                    for name, value in network.state_dict().items()})
+                for block in _blocks(data[split:], 8):
+                    await service.push_block("s0", block)
+                    while service.session("s0").outstanding:
+                        await asyncio.sleep(0.001)
+                session = await service.close_session("s0")
+            await task
+            return session, seen
+
+        session, seen = asyncio.run(main())
+        after = detector.score_stream(data).scores
+        scores = session.result().scores
+        assert not np.array_equal(before[split:], after[split:])
+        np.testing.assert_array_equal(scores[:split], before[:split])
+        np.testing.assert_array_equal(scores[split:], after[split:])
+        assert enqueued == list(range(split, split + 8))
+        indices = [sample.index for sample in seen]
+        assert indices == sorted(indices)
+        assert len(indices) == len(data) - detector.window + 1
+
+    def test_canary_counts_exactly_the_shadowed_streams(self, detectors,
+                                                        varade_int8):
+        detector = detectors["VARADE"]
+        controller = CanaryController(varade_int8, baseline=_empty_baseline(),
+                                      fraction=0.5)
+        streams = {f"stream-{index}": make_stream(40, seed=90 + index)[0]
+                   for index in range(8)}
+        shadowed = [sid for sid in streams if controller.is_shadowed(sid)]
+        assert 0 < len(shadowed) < len(streams)
+
+        async def main():
+            async with AnomalyService(detector,
+                                      config=BLOCK_CONFIG) as service:
+                service.attach_canary(controller)
+                for blocks in zip(*(_blocks(data, 8)
+                                    for data in streams.values())):
+                    for sid, block in zip(streams, blocks):
+                        await service.push_block(sid, block)
+                return {sid: await service.close_session(sid)
+                        for sid in streams}
+
+        sessions = asyncio.run(main())
+        assert controller.samples == sum(sessions[sid].samples_scored
+                                         for sid in shadowed) > 0
+        for sid, data in streams.items():
+            np.testing.assert_array_equal(sessions[sid].result().scores,
+                                          detector.score_stream(data).scores)
+
+
+@pytest.fixture(scope="module")
+def partition_case(detectors, train_stream):
+    detector = detectors["VARADE"]
+    data = _shifted_stream(120, seed=87)
+    kwargs = _adaptive(detector, train_stream)
+    return detector, data, kwargs, _run_session(detector, data,
+                                                incremental=False, **kwargs)
+
+
+class TestBlockPartitionProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 40), min_size=1, max_size=12),
+           immediate=st.lists(st.booleans(), min_size=1, max_size=12),
+           drains=st.lists(st.booleans(), min_size=1, max_size=12))
+    def test_any_partition_scores_identically(self, partition_case, sizes,
+                                              immediate, drains):
+        """Any cut of a stream into blocks -- some held to the queue (as a
+        canary does), drained at arbitrary points -- gives the per-row
+        batch lane's scores, alarms, thresholds and adaptation events."""
+        detector, data, kwargs, reference = partition_case
+        session = ScoringSession(detector, **kwargs)
+        batcher = MicroBatcher(detector, max_batch=4, max_delay_ms=1e4)
+        for index, block in enumerate(_partition(data, sizes)):
+            _, queued = session.submit_many(
+                block, immediate=immediate[index % len(immediate)])
+            for request in queued:
+                batcher.enqueue(request)
+            if drains[index % len(drains)]:
+                batcher.drain()
+        batcher.drain()
+        result, expected = session.result(), reference.result()
+        assert session.outstanding == 0
+        np.testing.assert_array_equal(result.scores, expected.scores)
+        np.testing.assert_array_equal(result.scores,
+                                      detector.score_stream(data).scores)
+        np.testing.assert_array_equal(result.alarms, expected.alarms)
+        np.testing.assert_array_equal(result.threshold_trace,
+                                      expected.threshold_trace)
+        assert result.adaptation_events == expected.adaptation_events
+
+
+class TestSteadyState:
+    def test_warm_fleet_never_queues_or_calls_the_gemm(self, detectors,
+                                                       monkeypatch):
+        detector = detectors["VARADE"]
+        streams = {f"s{index}": make_stream(96, seed=100 + index)[0]
+                   for index in range(4)}
+        calls = []
+
+        async def main():
+            async with AnomalyService(detector,
+                                      config=BLOCK_CONFIG) as service:
+                for sid, data in streams.items():      # warm every lane
+                    await service.push_block(sid, data[:8])
+                enqueue = MicroBatcher.enqueue
+                gemm = detector.score_windows_batch
+                monkeypatch.setattr(
+                    MicroBatcher, "enqueue", lambda self, request:
+                    calls.append("enqueue") or enqueue(self, request))
+                monkeypatch.setattr(
+                    detector, "score_windows_batch", lambda *args:
+                    calls.append("gemm") or gemm(*args))
+                for start in range(8, 96, 8):
+                    for sid, data in streams.items():
+                        await service.push_block(sid, data[start:start + 8])
+                stats = service.stats()
+                sessions = {sid: await service.close_session(sid)
+                            for sid in streams}
+            return stats, sessions
+
+        stats, sessions = asyncio.run(main())
+        assert not calls
+        # Accounting: completed-at-submit samples are scored samples.
+        windows = sum(len(data) - detector.window + 1
+                      for data in streams.values())
+        assert stats.samples_pushed == sum(map(len, streams.values()))
+        assert stats.samples_scored == windows
+        assert stats.samples_dropped == 0
+        assert stats.queue_delay_histogram.count == 0
+        assert stats.scoring_time_s > 0
+        for sid, data in streams.items():
+            np.testing.assert_array_equal(sessions[sid].result().scores,
+                                          detector.score_stream(data).scores)

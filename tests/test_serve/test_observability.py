@@ -9,6 +9,7 @@ is reachable over both wire protocols plus the plain-HTTP scrape port.
 """
 
 import asyncio
+import dataclasses
 import json
 import threading
 
@@ -145,9 +146,12 @@ class TestMetricsPage:
 
 class TestTraceExport:
     def test_trace_shows_flush_spans_and_session_latencies(self, detectors):
+        """The queued (batch) lane: flush spans plus one enqueue-to-score
+        span per window."""
         detector = detectors["VARADE"]
+        config = dataclasses.replace(OBS_CONFIG, incremental=False)
         service, _, _ = _run_streams(
-            lambda: AnomalyService(detector, config=OBS_CONFIG),
+            lambda: AnomalyService(detector, config=config),
             [make_stream(50, seed=43)[0]])
         trace = service.trace_export()
         events = [e for e in trace["traceEvents"] if e["ph"] != "M"]
@@ -173,6 +177,22 @@ class TestTraceExport:
             [make_stream(40, seed=44)[0]])
         names = [e["name"] for e in service.trace_export()["traceEvents"]]
         assert "incremental_lane" in names
+
+    def test_incremental_blocks_traced_without_queue_spans(self, detectors):
+        """Samples completed at submit claim no queue wait: one
+        ``score_block`` span per pushed block, no ``enqueue_to_score``."""
+        data = make_stream(40, seed=44)[0]
+        service, stats, _ = _run_streams(
+            lambda: AnomalyService(detectors["VARADE"], config=OBS_CONFIG),
+            [data])
+        events = [e for e in service.trace_export()["traceEvents"]
+                  if e["ph"] == "X"]
+        blocks = [e for e in events if e["name"] == "score_block"]
+        assert len(blocks) == len(data)          # push() is a 1-row block
+        assert sum(e["args"]["completed"] for e in blocks) \
+            == stats.samples_scored
+        assert not [e for e in events if e["name"] == "enqueue_to_score"]
+        assert stats.queue_delay_histogram.count == 0
 
 
 class TestAlarmSinks:
@@ -329,7 +349,7 @@ class TestWireOps:
                     f'op="push"}}'] == len(data)
                 trace = client.trace()
                 names = {e["name"] for e in trace["traceEvents"]}
-                assert "flush" in names
+                assert "score_block" in names
                 assert trace["otherData"]["capacity"] == \
                     OBS_CONFIG.trace_events
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import ThresholdCalibrator
 from repro.serve import AnomalyService, QueueFullError, ServiceConfig
+from repro.serve.session import SessionClosedError
 
 from serve_helpers import make_stream
 
@@ -41,14 +42,15 @@ class TestBackpressure:
 
     def test_drop_oldest_sheds_but_keeps_newest(self, detectors):
         """With a tiny queue and no scheduler wake-ups between pushes, the
-        oldest windows are shed and the freshest survive with NaN holes."""
+        oldest windows are shed and the freshest survive with NaN holes
+        (on the queued lane: samples completed at submit never queue)."""
         detector = detectors["VARADE"]
         data, _ = make_stream(40, seed=22)
 
         async def main():
             config = ServiceConfig(max_batch=64, max_delay_ms=10_000.0,
                                    max_queue=2, backpressure="drop_oldest",
-                                   record_sessions=True)
+                                   record_sessions=True, incremental=False)
             service = AnomalyService(detector, config=config)
             await service.start()
             # Push everything in one tight loop: the huge max_delay keeps the
@@ -70,36 +72,62 @@ class TestBackpressure:
         assert np.isnan(scores[detector.window - 1:-2]).all()
 
     def test_reject_raises_and_stream_continues(self, detectors):
+        """A refused sample is not ingested: nothing is dropped, the stream
+        stays contiguous, and the producer may resend it."""
         detector = detectors["VARADE"]
         data, _ = make_stream(40, seed=23)
 
         async def main():
             config = ServiceConfig(max_batch=64, max_delay_ms=10_000.0,
                                    max_queue=2, backpressure="reject",
-                                   record_sessions=True)
+                                   record_sessions=True, incremental=False)
             service = AnomalyService(detector, config=config)
             await service.start()
             rejects = 0
             for row in data:
                 try:
                     await service.push("s0", row)
-                except QueueFullError:
+                except QueueFullError as error:
+                    assert "accepted 0 of 1 rows" in str(error)
                     rejects += 1
             session = service.session("s0")
+            stats = service.stats()
             await service.close_session("s0")
             await service.stop()
-            return session, rejects
+            return session, stats, rejects
 
-        session, rejects = asyncio.run(main())
-        submitted = len(data) - detector.window + 1
-        assert rejects == submitted - 2
+        session, stats, rejects = asyncio.run(main())
+        accepted = detector.window + 1       # the window fill, then 2 queued
+        assert rejects == len(data) - accepted
+        assert session.samples_pushed == stats.samples_pushed == accepted
         assert session.samples_scored == 2
-        assert session.samples_dropped == rejects
-        # Rejected samples still advanced the window: the two scored ones
-        # are the *oldest* two windows (later ones were refused).
-        scores = session.result().scores
-        assert np.isfinite(scores[detector.window - 1:
-                                  detector.window + 1]).all()
+        assert session.samples_dropped == stats.samples_dropped == 0
+        np.testing.assert_array_equal(
+            session.result().scores,
+            detector.score_stream(data[:accepted]).scores)
+
+    def test_incremental_lane_is_never_shed(self, detectors):
+        """Samples the incremental lane completes at submit take no queue
+        slot, so neither shedding policy touches them."""
+        detector = detectors["VARADE"]
+        data, _ = make_stream(40, seed=23)
+
+        async def main(policy):
+            config = ServiceConfig(max_batch=64, max_delay_ms=10_000.0,
+                                   max_queue=1, backpressure=policy,
+                                   record_sessions=True)
+            async with AnomalyService(detector, config=config) as service:
+                await service.push_block("s0", data)
+                session = service.session("s0")
+                await service.close_session("s0")
+                return session
+
+        reference = detector.score_stream(data).scores
+        for policy in ("drop_oldest", "reject"):
+            session = asyncio.run(main(policy))
+            assert session.samples_dropped == 0
+            assert session.samples_scored == len(data) - detector.window + 1
+            np.testing.assert_array_equal(session.result().scores, reference)
 
 
 class TestEventStreams:
@@ -187,6 +215,27 @@ class TestServiceGuards:
                 await service.push("a", np.zeros(3))
                 with pytest.raises(ValueError, match="channels"):
                     await service.push("b", np.zeros(5))
+
+        asyncio.run(main())
+
+    def test_refused_block_ingests_nothing(self, detectors):
+        """Channel count and a closed session are checked before any row
+        of a block is ingested (and before an unknown stream auto-opens)."""
+        detector = detectors["VARADE"]
+        data, _ = make_stream(20, seed=27)
+
+        async def main():
+            async with AnomalyService(detector) as service:
+                await service.push_block("a", data[:10])
+                with pytest.raises(ValueError, match="channels"):
+                    await service.push_block("b", np.zeros((4, 5)))
+                assert "b" not in service.sessions
+                session = service.session("a")
+                session.close()
+                with pytest.raises(SessionClosedError):
+                    await service.push_block("a", data[10:])
+                assert session.samples_pushed == 10
+                assert service.stats().samples_pushed == 10
 
         asyncio.run(main())
 
@@ -279,13 +328,15 @@ class TestServiceGuards:
         asyncio.run(main())
 
     def test_stats_histograms_populate(self, detectors):
+        """On the queued lane every scored window has a queue delay."""
         detector = detectors["VARADE"]
         data, _ = make_stream(50, seed=26)
 
         async def main():
             async with AnomalyService(
                     detector,
-                    config=ServiceConfig(max_batch=8, max_delay_ms=1.0)) \
+                    config=ServiceConfig(max_batch=8, max_delay_ms=1.0,
+                                         incremental=False)) \
                     as service:
                 for row in data:
                     await service.push("s0", row)

@@ -7,6 +7,7 @@ import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core import ThresholdCalibrator
@@ -256,7 +257,8 @@ class TestProtocol:
         detector = detectors["VARADE"]
         data, _ = make_stream(30, seed=44)
         config = ServiceConfig(max_batch=64, max_delay_ms=10_000.0,
-                               max_queue=1, backpressure="reject")
+                               max_queue=1, backpressure="reject",
+                               incremental=False)
         with ServerThread(detector, config=config) as server:
             with TCPClient(port=server.port) as client:
                 client.open("s0")
@@ -268,6 +270,62 @@ class TestProtocol:
                 assert rejected
                 assert all("pending windows" in r["error"] for r in rejected)
                 client.shutdown()
+
+
+def _frame(client, block):
+    """A PUSH payload for ``client``'s protocol: JSON carries one sample
+    as a list, binary a whole ``(n, channels)`` block."""
+    if isinstance(client, TCPClient):
+        return [float(value) for value in block.ravel()]
+    return block
+
+
+@pytest.mark.parametrize("client_type", [TCPClient, BinaryClient])
+class TestPartialFrames:
+    """A refused PUSH frame ingests nothing it does not report."""
+
+    def test_refused_first_push_does_not_claim_the_stream(self, detectors,
+                                                          client_type):
+        detector = detectors["VARADE"]
+        data, _ = make_stream(20, seed=45)
+        with ServerThread(detector) as server:
+            with client_type(port=server.port) as client:
+                client.open("s0")
+                assert client.request({"op": "push", "stream": "s0",
+                                       "values": _frame(client, data[:1])})["ok"]
+                wide = np.ones((1, data.shape[1] + 2))
+                reply = client.request({"op": "push", "stream": "s1",
+                                        "values": _frame(client, wide)})
+                assert not reply["ok"] and "channels" in reply["error"]
+                assert set(server.server._stream_tenants) == {"s0"}
+                assert client.stats()["samples_pushed"] == 1
+                # The refused id is free: it opens like any new stream.
+                assert client.open("s1")["ok"]
+
+    def test_reject_reports_how_many_rows_were_accepted(self, detectors,
+                                                        client_type):
+        detector = detectors["VARADE"]
+        data, _ = make_stream(40, seed=46)
+        config = ServiceConfig(max_batch=64, max_delay_ms=10_000.0,
+                               max_queue=2, backpressure="reject",
+                               incremental=False)
+        # JSON frames carry one row, binary frames a window's worth.
+        size = 1 if client_type is TCPClient else detector.window
+        with ServerThread(detector, config=config) as server:
+            with client_type(port=server.port) as client:
+                client.open("s0")
+                for start in range(0, len(data), size):
+                    frame = data[start:start + size]
+                    reply = client.request({"op": "push", "stream": "s0",
+                                            "values": _frame(client, frame)})
+                    if not reply["ok"]:
+                        break
+                # The window fill plus the two windows that fit are in; a
+                # binary frame reports the one row of it that got in.
+                accepted = detector.window + 1 - start
+                assert f"accepted {accepted} of {size} rows" in reply["error"]
+                assert "pending windows" in reply["error"]
+                assert client.stats()["samples_pushed"] == detector.window + 1
 
 
 class _NoTableCopies(AnomalyService):
