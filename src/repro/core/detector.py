@@ -358,8 +358,10 @@ class VaradeIncrementalScorer:
         if samples.ndim == 2 and samples.shape[0] == 1:
             # One row: the single-column push skips the chunk set-up, which
             # costs more than the row itself at serving sizes (same bits).
-            score = self.push(samples[0])
-            return np.array([np.nan if score is None else score])
+            heads = self._plan.push(samples[0])
+            if heads is None:
+                return np.full(1, np.nan)
+            return self._score_rows(heads["log_var"])
         heads = self._plan.push_many(samples)
         return self._score_rows(heads["log_var"])
 
@@ -368,6 +370,12 @@ class VaradeIncrementalScorer:
         """Leading rows of the next push (or chunk) that will score ``None``
         (NaN): the rest of the warm-up, or a fresh one after a weight swap."""
         return self._plan.warmup_left
+
+    @property
+    def samples_seen(self) -> int:
+        """Rows pushed since construction or the last warm-up restart; a
+        push scores once this reaches the window length."""
+        return self._plan.samples_seen
 
     @staticmethod
     def _score_rows(log_var: np.ndarray) -> np.ndarray:

@@ -11,11 +11,12 @@ loop that drives the first two over recorded streams -- see
 
 * :class:`ScoringSession` -- the per-stream handle.  Owns the stream's
   rolling context window, (optional) input scaler, resolved alarm
-  threshold and an independent drift-adaptation lane;
-  ``push(sample) -> Optional[Alarm]`` scores inline, while the
-  ``submit``/``complete`` halves let a scheduler batch the scoring and
-  ``submit_many(block)`` ingests a block, completing on the spot what its
-  incremental lane scores.
+  threshold and an independent drift-adaptation lane.
+  ``submit_many(block)`` is its one ingestion body: it completes on the
+  spot what its incremental lane scores and hands the rest out as
+  requests for ``complete``.  ``push(sample) -> Optional[Alarm]`` (score
+  inline) and ``submit(sample)`` (hand the request to a scheduler) are its
+  one-row spellings.
   Sessions are created and closed dynamically -- no fixed fleet.
 * :class:`MicroBatcher` -- the latency-budgeted scheduler.  Coalesces the
   windows pending across *all* live sessions into one

@@ -253,18 +253,17 @@ class MicroBatcher:
             return []
         take = min(len(self._pending), self.max_batch)
         batch: List[WindowRequest] = []
+        unscored: List[WindowRequest] = []
         for _ in range(take):
             request = self._pending.popleft()
             self._release_slot(request.session)
             batch.append(request)
-        if any(request.score is not None for request in batch):
-            unscored = [request for request in batch if request.score is None]
-            prescored = {id(request) for request in batch
-                         if request.score is not None}
-        else:
-            # All-batch flush (the fleet replay hot path): no extra passes.
-            unscored = batch
-            prescored = frozenset()
+            if request.score is None:
+                unscored.append(request)
+        # Pre-scored rows paid their scoring cost at submit time (unscored
+        # ones still carry 0.0); account it so scoring_time_s keeps meaning
+        # "time spent producing scores".
+        inline_time = sum(request.score_latency_s for request in batch)
         start = self.clock()
         if unscored:
             windows = np.stack([request.context for request in unscored])
@@ -280,15 +279,13 @@ class MicroBatcher:
                     request.session.discard(request)
                     self.dropped += 1
                 raise
-            for row, request in enumerate(unscored):
-                request.score = float(scores[row])
         end = self.clock()
         elapsed = end - start
-        # Pre-scored rows paid their scoring cost at submit time; account it
-        # here so scoring_time_s keeps meaning "time spent producing scores".
-        inline_time = sum(request.score_latency_s for request in batch
-                          if id(request) in prescored) if prescored else 0.0
-        per_row = elapsed / len(unscored) if unscored else 0.0
+        if unscored:
+            per_row = elapsed / len(unscored)
+            for row, request in enumerate(unscored):
+                request.score = float(scores[row])
+                request.score_latency_s = per_row
         self.flushes += 1
         self.scored += take
         self.scoring_time_s += elapsed + inline_time
@@ -301,8 +298,6 @@ class MicroBatcher:
         for request in batch:
             delay = end - request.enqueued_at
             self.queue_delay_histogram.add(delay)
-            latency = request.score_latency_s if id(request) in prescored \
-                else per_row
             if self.tracer is not None:
                 self.tracer.span("enqueue_to_score",
                                  request.session.stream_id,
@@ -310,7 +305,7 @@ class MicroBatcher:
                                  index=request.index)
             results.append(request.session.complete(
                 request, request.score,
-                latency_s=latency, queue_delay_s=delay,
+                latency_s=request.score_latency_s, queue_delay_s=delay,
             ))
         if self.shadow is not None:
             self.shadow(batch)

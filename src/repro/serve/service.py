@@ -134,22 +134,15 @@ class ServiceStats:
         This is the per-service schema of the ``snapshot`` wire op;
         :meth:`repro.cluster.ClusterStats.from_snapshots` merges a fleet
         of them back into one :class:`ServiceStats` via :meth:`merged`.
+        Counters come first, then histograms (a stable sort keeps field
+        order within each), which is the wire schema's key order.
         """
-        return {
-            "sessions_opened": self.sessions_opened,
-            "sessions_closed": self.sessions_closed,
-            "live_sessions": self.live_sessions,
-            "samples_pushed": self.samples_pushed,
-            "samples_scored": self.samples_scored,
-            "samples_dropped": self.samples_dropped,
-            "flushes": self.flushes,
-            "scoring_time_s": self.scoring_time_s,
-            "alarms_total": self.alarms_total,
-            "sessions_exported": self.sessions_exported,
-            "sessions_imported": self.sessions_imported,
-            "queue_delay_histogram": self.queue_delay_histogram.to_state(),
-            "occupancy_histogram": self.occupancy_histogram.to_state(),
-        }
+        values = [(spec.name, getattr(self, spec.name))
+                  for spec in fields(self)]
+        values.sort(key=lambda item: isinstance(item[1], StreamingHistogram))
+        return {name: value.to_state()
+                if isinstance(value, StreamingHistogram) else value
+                for name, value in values}
 
     @classmethod
     def merged(cls, parts: Sequence["ServiceStats"]) -> "ServiceStats":
@@ -172,23 +165,11 @@ class ServiceStats:
 
     @classmethod
     def from_dict(cls, state: dict) -> "ServiceStats":
-        return cls(
-            sessions_opened=state["sessions_opened"],
-            sessions_closed=state["sessions_closed"],
-            live_sessions=state["live_sessions"],
-            samples_pushed=state["samples_pushed"],
-            samples_scored=state["samples_scored"],
-            samples_dropped=state["samples_dropped"],
-            flushes=state["flushes"],
-            scoring_time_s=state["scoring_time_s"],
-            alarms_total=state["alarms_total"],
-            sessions_exported=state["sessions_exported"],
-            sessions_imported=state["sessions_imported"],
-            queue_delay_histogram=StreamingHistogram.from_state(
-                state["queue_delay_histogram"]),
-            occupancy_histogram=StreamingHistogram.from_state(
-                state["occupancy_histogram"]),
-        )
+        """Invert :meth:`to_dict` (histogram states are the dict values)."""
+        return cls(**{
+            spec.name: StreamingHistogram.from_state(state[spec.name])
+            if isinstance(state[spec.name], dict) else state[spec.name]
+            for spec in fields(cls)})
 
 
 class _Subscriber:

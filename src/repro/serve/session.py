@@ -3,48 +3,41 @@
 A :class:`ScoringSession` owns everything one stream needs to be scored and
 alarmed on -- its rolling context window, its (optionally scaler-normalised)
 input path, its resolved decision threshold and its independent
-drift-adaptation lane -- but deliberately not the scoring schedule.  The
-session is a deterministic state machine with two halves:
+drift-adaptation lane -- but deliberately not the scoring schedule.
 
-* :meth:`ScoringSession.submit` ingests one sample and, once the context
-  window is full (and the ``max_samples`` budget allows), emits a
-  :class:`WindowRequest` -- a materialised ``(window, target)`` pair ready
-  to be scored by anyone;
-* :meth:`ScoringSession.complete` consumes the score for a previously
-  submitted request, applies the threshold in effect *before* the sample
-  was observed (classify, then learn -- the same semantics as
-  :class:`repro.edge.StreamingRuntime`), feeds the adaptation lane, and
-  returns the :class:`ScoredSample`.
+One body ingests samples: :meth:`ScoringSession.submit_many` takes a
+``(samples, channels)`` block with one scaler call, one ring write and --
+when the detector offers an O(1)-per-sample *incremental lane*
+(:meth:`~repro.core.detector.AnomalyDetector.incremental_scorer` -- VARADE,
+float and int8) -- one scorer ``push_many``.  Each row past the window fill
+and within the ``max_samples`` budget is emitted, in one of two ways:
 
-The split is what lets a :class:`~repro.serve.batcher.MicroBatcher` coalesce
-requests from many sessions into one
-:meth:`~repro.core.detector.AnomalyDetector.score_windows_batch` call while
-every session keeps bit-identical scores, alarms and adaptation events to
-the sequential single-stream path.  For callers that do not batch,
-:meth:`ScoringSession.push` is the inline spelling: submit, score a
-one-row batch immediately, complete -- one shared code path either way.
+* completed on the spot (threshold, adaptation, :class:`ScoredSample`) when
+  the lane scored it, the caller allows it (``immediate``) and nothing of
+  the session's is still in flight;
+* otherwise as a :class:`WindowRequest` -- a materialised ``(window,
+  target)`` pair, pre-scored where the lane already knows the score -- that
+  a scheduler scores and hands back to :meth:`ScoringSession.complete`.
+  ``complete`` applies the threshold in effect *before* the sample was
+  observed (classify, then learn -- the same semantics as
+  :class:`repro.edge.StreamingRuntime`) and feeds the adaptation lane.
+
+:meth:`ScoringSession.submit` and :meth:`ScoringSession.push` are its
+one-row spellings.  ``submit`` hands every request to its caller, which is
+how a :class:`~repro.serve.batcher.MicroBatcher` coalesces requests from
+many sessions into one
+:meth:`~repro.core.detector.AnomalyDetector.score_windows_batch` call.
+``push`` is the inline edge loop: the sample completes at submit, or
+``push`` completes its request itself -- with the pre-scored value, else
+by scoring a one-row batch.  Incremental scores are bit-identical to
+``score_windows_batch`` (the :mod:`repro.nn.fastpath` parity contract) and
+batched scoring is batch-invariant, so every spelling and every block
+partition gives the sequential single-stream path's scores, alarms and
+adaptation events.
 
 Requests must be completed in submission order per session (enforced), so
 threshold adaptation always observes scores in stream order regardless of
 how the scheduler interleaves sessions.
-
-Sessions additionally carry an *incremental lane*: when the detector offers
-an O(1)-per-sample incremental scorer
-(:meth:`~repro.core.detector.AnomalyDetector.incremental_scorer` -- VARADE,
-float and int8), :meth:`ScoringSession.submit` scores each sample eagerly as
-it arrives and stashes the result on the emitted
-:class:`WindowRequest.score`.  Schedulers (the inline :meth:`push` and the
-micro-batcher alike) complete such requests without re-scoring them.
-Incremental scores are bit-identical to ``score_windows_batch`` by the
-:mod:`repro.nn.fastpath` parity contract, so the lane changes the serving
-hot path's cost, never its results.
-
-:meth:`ScoringSession.submit_many` is the block form the serving front door
-uses: one scaler call, one ring write and one incremental ``push_many`` per
-block.  Samples whose score comes back from that call are completed on the
-spot -- no :class:`WindowRequest`, no scheduler -- whenever nothing of the
-session's is still in flight; the rest are emitted as requests exactly as
-:meth:`submit` would have emitted them.
 """
 
 from __future__ import annotations
@@ -65,6 +58,11 @@ __all__ = ["Alarm", "ScoredSample", "WindowRequest", "ScoringSession",
 
 class SessionClosedError(RuntimeError):
     """A sample was pushed into (or completed against) a closed session."""
+
+
+def _one_row(values: Union[np.ndarray, list]) -> np.ndarray:
+    """One sample as the ``(1, channels)`` block the session ingests."""
+    return np.asarray(values, dtype=np.float64).reshape(1, -1)
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,8 @@ Alarm = ScoredSample
 class WindowRequest:
     """One scorable unit: a materialised context window plus its target.
 
-    Emitted by :meth:`ScoringSession.submit`; scored by whoever schedules it
+    Emitted by :meth:`ScoringSession.submit_many` (and its one-row spelling
+    :meth:`ScoringSession.submit`); scored by whoever schedules it
     (inline, micro-batcher, ...) and handed back to
     :meth:`ScoringSession.complete`.  ``seq`` numbers a session's requests
     in submission order; completion must follow that order.
@@ -113,7 +112,8 @@ class WindowRequest:
     #: score already computed by the session's incremental scorer (bit-
     #: identical to the batch path); schedulers must not re-score it.
     score: Optional[float] = None
-    #: wall clock the incremental scorer spent on this sample's push
+    #: wall clock spent scoring this sample: its share of the incremental
+    #: scorer's push, or (set by the batcher) of the batched call
     score_latency_s: float = 0.0
 
     @property
@@ -150,12 +150,12 @@ class ScoringSession:
         a :class:`~repro.edge.StreamingResult`.  Long-running services turn
         this off and rely on the event stream + histograms instead.
     incremental:
-        Score each sample with the detector's O(1)-per-sample incremental
-        scorer (:meth:`~repro.core.detector.AnomalyDetector.
-        incremental_scorer`) at submit time, stashing the result on the
-        emitted :class:`WindowRequest` so schedulers skip the batched
-        call for it (or, in :meth:`submit_many`, completing it on the
-        spot).  Incremental scores are bit-identical to the batch
+        Score each block :meth:`submit_many` ingests with one ``push_many``
+        of the detector's O(1)-per-sample incremental scorer
+        (:meth:`~repro.core.detector.AnomalyDetector.incremental_scorer`).
+        A sample so scored completes at submit, or rides its
+        :class:`WindowRequest` pre-scored so schedulers skip the batched
+        call for it.  Incremental scores are bit-identical to the batch
         path, so this changes latency, never results.  Silently falls back
         to batch scoring when the detector has no incremental path (most
         baselines) or its first push rejects the stream's shape.
@@ -264,83 +264,18 @@ class ScoringSession:
         """Whether the O(1)-per-sample incremental lane scores this stream."""
         return self._scorer is not None
 
-    # -- the submit/complete state machine -------------------------------- #
+    # -- ingestion: one body, two one-row spellings ------------------------ #
     def submit(self, values: Union[np.ndarray, list]) -> Optional[WindowRequest]:
-        """Ingest one sample; return a scorable request once the window fills.
+        """Ingest one sample; return its scorable request once the window fills.
 
-        Returns ``None`` during the warm-up prefix (and once the
-        ``max_samples`` budget is spent) -- exactly the samples the
-        sequential runtime leaves NaN.
+        The one-row spelling of :meth:`submit_many` with ``immediate=False``:
+        the request always goes to the caller, pre-scored when the
+        incremental lane knows the score.  Returns ``None`` during the
+        warm-up prefix (and once the ``max_samples`` budget is spent) --
+        exactly the samples the sequential runtime leaves NaN.
         """
-        if self._closed:
-            raise SessionClosedError(
-                f"session {self.stream_id!r} is closed"
-            )
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 1:
-            values = values.ravel()
-        if self.scaler is not None:
-            values = np.asarray(
-                self.scaler.transform(values[None, :]), dtype=np.float64
-            ).ravel()
-        if self._ring is None:
-            if values.shape[0] < 1:
-                raise ValueError("samples must carry at least one channel")
-            self._ring = np.empty((self.detector.window, values.shape[0]))
-        elif values.shape[0] != self._ring.shape[1]:
-            raise ValueError(
-                f"expected {self._ring.shape[1]} channels, "
-                f"got {values.shape[0]}"
-            )
-        index = self._pushed
-        self._pushed += 1
-        if self.record:
-            self._scores.append(float("nan"))
-            self._alarms.append(0)
-            self._trace.append(float("nan"))
-
-        scores_current = self.detector.scores_current_sample
-        if scores_current:
-            # Window-state detectors (VARADE, AE) include the newest sample
-            # in the context they score.
-            self._push_ring(values)
-        score: Optional[float] = None
-        score_latency = 0.0
-        if self._scorer is not None:
-            # The incremental scorer sees every sample (it mirrors the ring's
-            # state), whether or not a request is emitted for it.
-            start = time.perf_counter()
-            try:
-                score = self._scorer.push(values)
-            except ValueError:
-                # A shape the plan cannot ingest: disable the incremental
-                # lane and let the batch path report the problem on its own
-                # terms (identical behaviour to a non-incremental session).
-                self._scorer = None
-                score = None
-                if self._tracer is not None:
-                    self._tracer.instant("incremental_lane_disabled",
-                                         self.stream_id, index=index)
-            else:
-                score_latency = time.perf_counter() - start
-        request = None
-        if self._filled >= self._ring.shape[0] and \
-                (self.max_samples is None
-                 or self._submitted < self.max_samples):
-            request = WindowRequest(
-                session=self,
-                seq=self._submitted,
-                index=index,
-                context=self._window_array(),
-                target=values,
-            )
-            if score is not None:
-                request.score = float(score)
-                request.score_latency_s = score_latency
-            self._submitted += 1
-        if not scores_current:
-            self._push_ring(values)
-        return request
+        _, queued = self.submit_many(_one_row(values), immediate=False)
+        return queued[0] if queued else None
 
     def submit_many(self, block: np.ndarray, *, immediate: bool = True
                     ) -> Tuple[List[ScoredSample], List[WindowRequest]]:
@@ -351,10 +286,10 @@ class ScoringSession:
         at once (threshold, adaptation) -- only when ``immediate`` is set
         and none of the session's earlier requests is still outstanding, so
         completion order holds.  ``queued`` holds the requests a scheduler
-        must complete, in order, exactly as :meth:`submit` would have
-        emitted them (pre-scored where the lane already knows the score).
-        A block is all one or all the other.  Scores, alarms and adaptation
-        are bit-identical to submitting the rows one at a time.
+        must complete, in order (pre-scored where the lane already knows
+        the score).  A block is all one or all the other.  Scores, alarms
+        and adaptation are bit-identical to submitting the rows one at a
+        time.
         """
         if self._closed:
             raise SessionClosedError(
@@ -376,8 +311,6 @@ class ScoringSession:
             raise ValueError(
                 f"expected {self._ring.shape[1]} channels, got {channels}"
             )
-        first, last = self._emitted(count)
-        queue = self._queues(first, immediate)
         base = self._pushed
         self._pushed += count
         if self.record:
@@ -385,34 +318,45 @@ class ScoringSession:
             self._alarms.extend([0] * count)
             self._trace.extend([float("nan")] * count)
 
+        scorer = self._scorer
         scores = None
-        scored_from = count
         latency = 0.0
-        if self._scorer is not None:
-            scored_from = min(count, self._scorer.warmup_left)
+        unscored = count                # leading rows without a lane score
+        if scorer is not None:
+            # The scorer sees every row (it mirrors the ring's state),
+            # whether or not a request is emitted for it.
             start = time.perf_counter()
             try:
-                scores = self._scorer.push_many(block)
+                scores = scorer.push_many(block)
             except ValueError:
-                # The submit()-time fallback, for the whole block.
+                # A shape the plan cannot ingest: disable the incremental
+                # lane and let the batch path report the problem on its own
+                # terms (identical behaviour to a non-incremental session).
                 self._scorer = None
-                queue = True
                 if self._tracer is not None:
                     self._tracer.instant("incremental_lane_disabled",
                                          self.stream_id, index=base)
             else:
                 end = time.perf_counter()
                 latency = (end - start) / count
-                if self._tracer is not None:
-                    self._tracer.span("score_block", self.stream_id,
-                                      start, end, index=base, rows=count,
-                                      completed=0 if queue else last - first)
+                # The scorer scores from the window-th row it has seen since
+                # it started (or restarted after a weight swap); the rows
+                # before came back NaN.  Read after the push, so the hot
+                # path pays no second staleness check: rows_within asks
+                # warmup_left before it, and the two agree.
+                unscored = min(count, max(0, count + self.detector.window
+                                          - 1 - scorer.samples_seen))
+        first, last, queue = self._plan(count, unscored, immediate)
+        if scores is not None and self._tracer is not None:
+            self._tracer.span("score_block", self.stream_id, start, end,
+                              index=base, rows=count,
+                              completed=0 if queue else last - first)
 
         completed: List[ScoredSample] = []
         queued: List[WindowRequest] = []
         if queue and first < last:
             # Contexts are views into one (retained + block) history array.
-            history = np.concatenate((self._ring_history(), block))
+            history = self._history(block)
             stop = history.shape[0] - count \
                 + int(self.detector.scores_current_sample)
             window = self.detector.window
@@ -421,7 +365,7 @@ class ScoringSession:
                     session=self, seq=self._submitted, index=base + row,
                     context=history[stop + row - window:stop + row],
                     target=block[row])
-                if scores is not None and row >= scored_from:
+                if scores is not None and row >= unscored:
                     request.score = float(scores[row])
                     request.score_latency_s = latency
                 self._submitted += 1
@@ -431,9 +375,12 @@ class ScoringSession:
             self._submitted += done
             self._next_complete += done
             self._completed += done
-            completed = [self._decide(base + row, block[row],
-                                      float(scores[row]), latency, None)
-                         for row in range(first, last)]
+            # A plain loop: a comprehension's own frame costs about 2 % of a
+            # one-row push.
+            for row in range(first, last):
+                completed.append(self._decide(base + row, block[row],
+                                              float(scores[row]), latency,
+                                              None))
         self._write_ring(block)
         return completed, queued
 
@@ -442,53 +389,54 @@ class ScoringSession:
         """How many leading rows of a ``count``-row block
         :meth:`submit_many` can take while queueing at most ``room``
         requests (all ``count`` when the block would complete at once)."""
-        first, last = self._emitted(count)
-        if last - first <= room or not self._queues(first, immediate):
+        scorer = self._scorer
+        unscored = count if scorer is None \
+            else min(count, scorer.warmup_left)
+        first, last, queue = self._plan(count, unscored, immediate)
+        if last - first <= room or not queue:
             return count
         return first + room
 
-    def _emitted(self, count: int) -> Tuple[int, int]:
-        """Rows ``[first, last)`` of the next ``count``-row block that emit
-        a request: past the window fill, within the ``max_samples`` budget."""
-        lead = int(self.detector.scores_current_sample)
-        first = min(count, max(0, self.detector.window - lead - self._filled))
-        if self.max_samples is None:
-            return first, count
-        return first, min(count, first + max(0, self.max_samples
-                                             - self._submitted))
-
-    def _queues(self, first: int, immediate: bool) -> bool:
-        """Whether the next block's requests (from row ``first``) must go
-        through a scheduler rather than complete at submit."""
-        return not (immediate and self._scorer is not None
-                    and self._submitted == self._completed + self._dropped
-                    and first >= self._scorer.warmup_left)
+    def _plan(self, count: int, unscored: int, immediate: bool
+              ) -> Tuple[int, int, bool]:
+        """How the next ``count``-row block goes, given that its first
+        ``unscored`` rows get no incremental score: ``(first, last,
+        queue)``.  Rows ``[first, last)`` emit a request (past the window
+        fill, within the ``max_samples`` budget); ``queue`` says whether
+        they go through a scheduler rather than complete at submit."""
+        detector = self.detector
+        first = min(count, max(0, detector.window - self._filled
+                               - detector.scores_current_sample))
+        last = count if self.max_samples is None else min(
+            count, first + max(0, self.max_samples - self._submitted))
+        queue = not (immediate and first >= unscored and
+                     self._submitted == self._completed + self._dropped)
+        return first, last, queue
 
     def _write_ring(self, block: np.ndarray) -> None:
         """Write a block into the ring in at most two slice copies."""
-        window = self._ring.shape[0]
+        ring = self._ring
+        window = ring.shape[0]
         count = block.shape[0]
         rows = block[-window:]
-        start = (self._cursor + count - rows.shape[0]) % window
-        split = min(rows.shape[0], window - start)
-        self._ring[start:start + split] = rows[:split]
-        self._ring[:rows.shape[0] - split] = rows[split:]
+        kept = rows.shape[0]
+        start = (self._cursor + count - kept) % window
+        split = window - start
+        if kept <= split:
+            ring[start:start + kept] = rows
+        else:
+            ring[start:] = rows[:split]
+            ring[:kept - split] = rows[split:]
         self._cursor = (self._cursor + count) % window
         self._filled += count
 
-    def _push_ring(self, values: np.ndarray) -> None:
-        self._ring[self._cursor] = values
-        self._cursor += 1
-        if self._cursor == self._ring.shape[0]:
-            self._cursor = 0
-        self._filled += 1
-
-    def _window_array(self) -> np.ndarray:
-        """Materialise the full context window, oldest sample first."""
-        if self._cursor == 0:
-            return self._ring.copy()
-        return np.concatenate((self._ring[self._cursor:],
-                               self._ring[:self._cursor]))
+    def _history(self, *tail: np.ndarray) -> np.ndarray:
+        """The retained samples in push order, followed by ``tail``."""
+        ring, cursor = self._ring, self._cursor
+        if self._filled < ring.shape[0]:
+            # Never wrapped: rows [0, filled) are already in push order.
+            return np.concatenate((ring[:self._filled], *tail))
+        return np.concatenate((ring[cursor:], ring[:cursor], *tail))
 
     def complete(self, request: WindowRequest, score: float, *,
                  latency_s: float = 0.0,
@@ -579,29 +527,30 @@ class ScoringSession:
     def push(self, values: Union[np.ndarray, list]) -> Optional[Alarm]:
         """Ingest and score one sample inline; return the alarm it raised.
 
-        When the session's incremental scorer already scored the sample at
-        submit time, that score is used directly (it is bit-identical to
-        the batch path); otherwise the inline path scores a one-row batch
-        through the same ``score_windows_batch`` contract the micro-batcher
-        uses, so inline and batched serving are bit-identical either way.
-        Returns the :class:`Alarm` (a :class:`ScoredSample` with
-        ``alarm=True``) when this sample crossed the threshold, ``None``
-        otherwise -- including the warm-up prefix and thresholdless
-        sessions.
+        The one-row spelling of :meth:`submit_many`: the sample completes
+        at submit when the incremental lane scored it.  One that comes back
+        queued is completed here -- with its pre-scored value, else by
+        scoring a one-row batch through the same ``score_windows_batch``
+        contract the micro-batcher uses -- so inline and batched serving
+        are bit-identical either way.  Returns the :class:`Alarm` (a
+        :class:`ScoredSample` with ``alarm=True``) when this sample crossed
+        the threshold, ``None`` otherwise -- including the warm-up prefix
+        and thresholdless sessions.
         """
-        request = self.submit(values)
-        if request is None:
+        completed, queued = self.submit_many(_one_row(values))
+        if queued:
+            request = queued[0]
+            score, latency = request.score, request.score_latency_s
+            if score is None:
+                start = time.perf_counter()
+                score = float(self.detector.score_windows_batch(
+                    request.context[None, ...], request.target[None, :])[0])
+                latency = time.perf_counter() - start
+            sample = self.complete(request, score, latency_s=latency)
+        elif completed:
+            sample = completed[0]
+        else:
             return None
-        if request.score is not None:
-            sample = self.complete(request, request.score,
-                                   latency_s=request.score_latency_s)
-            return sample if sample.alarm else None
-        start = time.perf_counter()
-        score = self.detector.score_windows_batch(
-            request.context[None, ...], request.target[None, :]
-        )[0]
-        latency = time.perf_counter() - start
-        sample = self.complete(request, float(score), latency_s=latency)
         return sample if sample.alarm else None
 
     # -- lifecycle / results ----------------------------------------------- #
@@ -718,28 +667,19 @@ class ScoringSession:
         return session
 
     def _rewarm_scorer(self):
-        """Recreate the incremental scorer by replaying the ring history."""
+        """Recreate the incremental scorer by replaying the ring history
+        (one ``push_many``: the same bits as pushing it row by row)."""
         scorer = self.detector.incremental_scorer()
-        if scorer is None:
-            return None
+        if scorer is None or self._ring is None:
+            return scorer
         try:
-            for row in self._ring_history():
-                scorer.push(row)
+            scorer.push_many(self._history())
         except ValueError:
-            # Mirrors the submit()-time fallback: a shape the incremental
+            # Mirrors the submit_many() fallback: a shape the incremental
             # plan rejects keeps the session on the (bit-identical) batch
             # path instead of failing the import.
             return None
         return scorer
-
-    def _ring_history(self) -> np.ndarray:
-        """The retained samples in push order (at most ``window`` of them)."""
-        if self._ring is None:
-            return np.empty((0, 0))
-        if self._filled < self._ring.shape[0]:
-            # Never wrapped: rows [0, filled) are already in push order.
-            return self._ring[:self._filled]
-        return self._window_array()
 
     def result(self, labels: Optional[np.ndarray] = None):
         """Build the :class:`~repro.edge.StreamingResult` of this session.

@@ -132,6 +132,13 @@ class TestClusterStats:
         stats = _stats(17, delays=[1e-3, 2e-3, 5e-1], alarms=2)
         back = ServiceStats.from_dict(stats.to_dict())
         assert back.to_dict() == stats.to_dict()
+        # The snapshot wire schema: every field, counters before histograms.
+        assert list(stats.to_dict()) == [
+            "sessions_opened", "sessions_closed", "live_sessions",
+            "samples_pushed", "samples_scored", "samples_dropped", "flushes",
+            "scoring_time_s", "alarms_total", "sessions_exported",
+            "sessions_imported", "queue_delay_histogram",
+            "occupancy_histogram"]
         assert back.queue_delay_p99_s == stats.queue_delay_p99_s
         assert back.mean_batch_size == stats.mean_batch_size
 

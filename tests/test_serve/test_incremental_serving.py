@@ -101,6 +101,28 @@ class TestSessionLane:
         assert len(inc_result.adaptation_events) \
             == len(bat_result.adaptation_events)
 
+    @pytest.mark.parametrize("kind", ["float", "int8"])
+    def test_submit_is_prescored_from_the_first_emitted_sample(
+            self, detectors, varade_int8, kind):
+        """The per-layer probes rely on this: every request ``submit``
+        emits on an incremental session carries its lane score, and
+        completing it with that score is the whole scoring step."""
+        detector = detectors["VARADE"] if kind == "float" else varade_int8
+        data, _ = make_stream(40, seed=78)
+        session = ScoringSession(detector)
+        requests = [session.submit(row) for row in data]
+        warmup = detector.window - 1
+        assert requests[:warmup] == [None] * warmup
+        emitted = requests[warmup:]
+        assert all(request.score is not None for request in emitted)
+        for request in emitted:
+            sample = session.complete(request, request.score,
+                                      latency_s=request.score_latency_s)
+            assert sample.index == request.index
+        assert session.outstanding == 0
+        np.testing.assert_array_equal(session.result().scores,
+                                      detector.score_stream(data).scores)
+
     def test_misshaped_stream_disables_lane_and_batch_error_wins(self,
                                                                  detectors):
         """A stream the plan cannot ingest must fail exactly like a
@@ -138,6 +160,9 @@ class TestBatcherWithPrescoredRequests:
         results = batcher.drain()
         # FIFO pop order: the two sessions alternate request for request.
         assert [r.stream_id for r in results[:4]] == ["inc", "bat"] * 2
+        # Both kinds report a scoring latency: the push's for pre-scored
+        # rows, the gemm's per-row share for the rest.
+        assert all(r.latency_s > 0.0 for r in results)
         reference_a = _run_session(detector, data_a, incremental=False,
                                    stream_id="ref")
         reference_b = _run_session(detector, data_b, incremental=False,
@@ -474,6 +499,33 @@ class TestBlockInterleaving:
         assert indices == sorted(indices)
         assert len(indices) == len(data) - detector.window + 1
 
+    def test_rows_within_predicts_the_queue_across_a_weight_replacement(
+            self, detectors):
+        """``rows_within`` asks the scorer before the push, ``submit_many``
+        reads it after; a restarted warm-up must look the same to both."""
+        detector = copy.deepcopy(detectors["VARADE"])
+        data, _ = make_stream(96, seed=89)
+        session = ScoringSession(detector)
+        batcher = MicroBatcher(detector, max_batch=64, max_delay_ms=1e4)
+        queued_rows = []
+        for index, block in enumerate(_blocks(data, 8)):
+            if index == 5:
+                network = detector.network
+                network.load_state_dict({
+                    name: 1.1 * value
+                    for name, value in network.state_dict().items()})
+            fits = session.rows_within(len(block), 0)
+            _, queued = session.submit_many(block)
+            assert (fits < len(block)) == bool(queued)
+            queued_rows += [request.index for request in queued]
+            for request in queued:
+                batcher.enqueue(request)
+            batcher.drain()
+        # Only the block the restarted warm-up covers went to the queue.
+        assert queued_rows == list(range(40, 48))
+        np.testing.assert_array_equal(session.result().scores[40:],
+                                      detector.score_stream(data).scores[40:])
+
     def test_canary_counts_exactly_the_shadowed_streams(self, detectors,
                                                         varade_int8):
         detector = detectors["VARADE"]
@@ -513,21 +565,36 @@ def partition_case(detectors, train_stream):
 
 
 class TestBlockPartitionProperty:
-    @settings(max_examples=40, deadline=None)
-    @given(sizes=st.lists(st.integers(1, 40), min_size=1, max_size=12),
+    @settings(max_examples=60, deadline=None)
+    @given(mode=st.sampled_from(["blocks", "push", "submit"]),
+           sizes=st.lists(st.integers(1, 40), min_size=1, max_size=12),
            immediate=st.lists(st.booleans(), min_size=1, max_size=12),
            drains=st.lists(st.booleans(), min_size=1, max_size=12))
-    def test_any_partition_scores_identically(self, partition_case, sizes,
-                                              immediate, drains):
+    def test_any_partition_scores_identically(self, partition_case, mode,
+                                              sizes, immediate, drains):
         """Any cut of a stream into blocks -- some held to the queue (as a
         canary does), drained at arbitrary points -- gives the per-row
-        batch lane's scores, alarms, thresholds and adaptation events."""
+        batch lane's scores, alarms, thresholds and adaptation events.  So
+        do the one-row spellings: per-row ``push``, and per-row ``submit``
+        into the batcher (drained at the same block boundaries)."""
         detector, data, kwargs, reference = partition_case
         session = ScoringSession(detector, **kwargs)
         batcher = MicroBatcher(detector, max_batch=4, max_delay_ms=1e4)
         for index, block in enumerate(_partition(data, sizes)):
-            _, queued = session.submit_many(
-                block, immediate=immediate[index % len(immediate)])
+            if mode == "push":
+                for row in block:
+                    session.push(row)
+                continue
+            if mode == "submit":
+                queued = [request for request in map(session.submit, block)
+                          if request is not None]
+            else:
+                hold = immediate[index % len(immediate)]
+                # rows_within predicts, before the push, what submit_many
+                # then decides: the block queues iff it cannot take them all.
+                fits = session.rows_within(len(block), 0, immediate=hold)
+                _, queued = session.submit_many(block, immediate=hold)
+                assert (fits < len(block)) == bool(queued)
             for request in queued:
                 batcher.enqueue(request)
             if drains[index % len(drains)]:

@@ -66,6 +66,31 @@ class TestInlinePush:
 
 
 class TestStateMachine:
+    def test_submit_matches_score_stream_on_a_forecaster(self, detectors):
+        """GBRF scores the sample *after* its window: per-row ``submit``
+        emits its first request one sample later than on VARADE, with the
+        context that excludes the target, and the batch-scored requests
+        reproduce ``score_stream``.  (kNN shares the alignment, but its
+        distance GEMM rounds differently per batch size, so it cannot be
+        held to ``score_stream`` bit for bit.)"""
+        detector = detectors["GBRF"]
+        assert not detector.scores_current_sample
+        data, _ = make_stream(30, seed=12)
+        session = ScoringSession(detector, "s0")
+        requests = [session.submit(row) for row in data]
+        assert requests[:detector.window] == [None] * detector.window
+        emitted = requests[detector.window:]
+        assert all(request.score is None for request in emitted)
+        for request in emitted:
+            np.testing.assert_array_equal(
+                request.context,
+                data[request.index - detector.window:request.index])
+            score = detector.score_windows_batch(request.context[None],
+                                                 request.target[None])[0]
+            session.complete(request, score)
+        np.testing.assert_array_equal(session.result().scores,
+                                      detector.score_stream(data).scores)
+
     def test_completions_must_follow_submission_order(self, detectors):
         detector = detectors["VARADE"]
         data, _ = make_stream(detector.window + 3, seed=2)
