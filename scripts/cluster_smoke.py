@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """End-to-end cluster smoke: two tenants, two workers, one survives a kill.
 
-The flow CI's ``cluster-smoke`` job runs on every push (and ``scripts/
-verify.sh`` runs locally) against the real ``repro serve --workers N``
-entry point -- worker subprocesses, shard router, the lot:
+The flow ``scripts/verify.sh`` (and so every CI push) runs against the
+real ``repro serve --workers N`` entry point -- worker subprocesses, shard
+router, the lot:
 
 1. ``repro train --fast`` + ``repro package`` build the default-tenant
    artifact; a second workdir (seed 7) builds the ``beta`` tenant's;

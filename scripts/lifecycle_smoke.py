@@ -1,9 +1,8 @@
 #!/usr/bin/env python
 """End-to-end lifecycle smoke: canary, gated promotion, watcher rollback.
 
-The flow CI's ``lifecycle-smoke`` job runs on every push (and
-``scripts/verify.sh`` runs locally) against the real artifacts and
-serving entry points:
+The flow ``scripts/verify.sh`` (and so every CI push) runs against the
+real artifacts and serving entry points:
 
 1. ``repro train --fast`` + ``repro package`` build the incumbent
    artifact A; a second workdir (seed 7) builds candidate B and

@@ -1,10 +1,9 @@
 #!/usr/bin/env python
 """End-to-end serving smoke: package an artifact, serve it, alarm over the wire.
 
-The flow CI's ``serve-smoke`` job runs on every push (and ``scripts/
-verify.sh`` runs locally), once per (transport, protocol) combination --
-JSON over TCP, binary over TCP, and binary over a Unix-domain socket where
-the platform offers one:
+The flow ``scripts/verify.sh`` (and so every CI push) runs once per
+(transport, protocol) combination -- JSON over TCP, binary over TCP, and
+binary over a Unix-domain socket where the platform offers one:
 
 1. ``repro train --fast`` + ``repro package`` build a tiny deployable
    artifact in a scratch workdir (once);

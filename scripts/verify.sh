@@ -8,7 +8,8 @@
 #                                       after the tier-1 matrix has gated)
 #
 # Tier 1 is the full default pytest run (the bar every PR must keep green),
-# followed by the CLI/serve smokes, one short traced run of the bench/ harness
+# followed by the CLI smoke (with its same-spec-same-fingerprint determinism
+# gate), the serve/cluster/lifecycle smokes, one short traced run of the bench/ harness
 # (its per-layer probes call MicroBatcher/ScoringSession directly, so a
 # constructor change breaks it before any test notices) and the docs leg
 # (runnable docstring examples via --doctest-modules, plus the Markdown link
@@ -38,13 +39,22 @@ if [[ "$mode" != "--benchmarks-only" ]]; then
     python -m pytest -x -q
 
     echo
-    echo "== CLI smoke: train --fast -> quantize -> package -> stream =="
+    echo "== CLI smoke: train --fast -> quantize -> package -> stream -> bench =="
     smoke_dir="$(mktemp -d)"
     trap 'rm -rf "$smoke_dir"' EXIT
     python -m repro train --fast --workdir "$smoke_dir" >/dev/null
     python -m repro quantize --workdir "$smoke_dir" >/dev/null
     python -m repro package --workdir "$smoke_dir" >/dev/null
     python -m repro stream --workdir "$smoke_dir" >/dev/null
+    python -m repro bench --workdir "$smoke_dir" >/dev/null
+    # Determinism gate: the same spec, trained and packaged twice, must give
+    # the same artifact fingerprint.
+    for run in a b; do
+        python -m repro train --fast --workdir "$smoke_dir/determinism-$run" >/dev/null
+        python -m repro package --workdir "$smoke_dir/determinism-$run" >/dev/null
+    done
+    diff "$smoke_dir/determinism-a/package.fingerprint" \
+        "$smoke_dir/determinism-b/package.fingerprint"
     echo "CLI smoke: OK"
 
     echo

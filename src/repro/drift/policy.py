@@ -80,11 +80,6 @@ class AdaptationEvent:
     #: deployment code may adopt it for its pre-scoring normalisation.
     scaler: Optional[object] = field(default=None, repr=False, compare=False)
 
-    @property
-    def confirmation_delay(self) -> int:
-        """Samples spent confirming the flag before adapting."""
-        return self.adapted_at - self.flagged_at
-
 
 class AdaptationPolicy:
     """Configuration for online threshold adaptation on a score stream.
@@ -228,11 +223,6 @@ class AdaptationState:
         self._refine_schedule: List[int] = []
 
     # -- introspection --------------------------------------------------- #
-    @property
-    def is_pending(self) -> bool:
-        """Whether a drift flag is currently awaiting confirmation."""
-        return self._pending is not None
-
     @property
     def reservoir_scores(self) -> np.ndarray:
         """Snapshot of the baseline reservoir (oldest first)."""

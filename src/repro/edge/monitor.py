@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -234,17 +234,6 @@ class StreamingHistogram:
             "p99": self.p99,
             "max": self.max,
         }
-
-    def nonzero_bins(self) -> List[Tuple[float, float, int]]:
-        """``(low, high, count)`` for every populated bin (debug/reporting)."""
-        rows: List[Tuple[float, float, int]] = []
-        for index, count in enumerate(self._counts):
-            if count == 0:
-                continue
-            low = self.edges[index - 1] if index > 0 else -math.inf
-            high = self.edges[index] if index < self.edges.size else math.inf
-            rows.append((float(low), float(high), int(count)))
-        return rows
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,7 @@ import numpy as np
 
 __all__ = [
     "glorot_uniform",
-    "glorot_normal",
     "he_uniform",
-    "he_normal",
-    "uniform",
     "zeros",
     "ones",
     "orthogonal",
@@ -46,31 +43,11 @@ def glorot_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarr
     return rng.uniform(-limit, limit, size=shape)
 
 
-def glorot_normal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier normal initialisation."""
-    fan_in, fan_out = _fan_in_out(shape)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
 def he_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """He uniform initialisation, suited to ReLU networks such as VARADE."""
     fan_in, _ = _fan_in_out(shape)
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape)
-
-
-def he_normal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He normal initialisation."""
-    fan_in, _ = _fan_in_out(shape)
-    std = np.sqrt(2.0 / fan_in)
-    return rng.normal(0.0, std, size=shape)
-
-
-def uniform(shape: Tuple[int, ...], rng: np.random.Generator, low: float = -0.1,
-            high: float = 0.1) -> np.ndarray:
-    """Plain uniform initialisation in ``[low, high)``."""
-    return rng.uniform(low, high, size=shape)
 
 
 def zeros(shape: Tuple[int, ...], rng: np.random.Generator | None = None) -> np.ndarray:

@@ -15,7 +15,7 @@ convolutional auto-encoder baselines.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -656,13 +656,3 @@ class Tensor:
         for node in reversed(topo):
             if node.grad is not None and node._parents:
                 node._backward(node.grad)
-
-
-def _tensor_sum(tensors: Iterable[Tensor]) -> Tensor:
-    """Sum an iterable of tensors (used by losses and regularisers)."""
-    total: Optional[Tensor] = None
-    for tensor in tensors:
-        total = tensor if total is None else total + tensor
-    if total is None:
-        raise ValueError("cannot sum an empty iterable of tensors")
-    return total

@@ -506,12 +506,6 @@ class ServiceSpec:
         kwargs.update(overrides)
         return ServiceConfig(**kwargs)
 
-    def accepted_protocols(self) -> Tuple[str, ...]:
-        """Wire protocols the server should accept (``"auto"`` = all)."""
-        from ..serve import PROTOCOLS
-
-        return PROTOCOLS if self.protocol == "auto" else (self.protocol,)
-
 
 @dataclass(frozen=True)
 class RuntimeSpec:

@@ -108,10 +108,6 @@ class ActionLibrary:
     def action_ids(self) -> List[int]:
         return sorted(self._actions)
 
-    def total_cycle_duration(self) -> float:
-        """Duration of one full cycle through every action, in seconds."""
-        return float(sum(action.duration for action in self))
-
     def schedule(self, total_duration: float,
                  rng: Optional[np.random.Generator] = None,
                  shuffle: bool = False) -> List[int]:

@@ -87,10 +87,6 @@ class KukaLBRIiwa:
         transforms = self.link_transforms(joint_angles)
         return np.stack([t[:3, 3] for t in transforms])
 
-    def end_effector_pose(self, joint_angles: np.ndarray) -> np.ndarray:
-        """4x4 pose of the flange for one configuration."""
-        return self.link_transforms(joint_angles)[-1]
-
     def joint_orientations_euler(self, joint_angles: np.ndarray) -> np.ndarray:
         """ZYX Euler angles (roll, pitch, yaw) of every link frame, shape (7, 3)."""
         transforms = self.link_transforms(joint_angles)

@@ -33,9 +33,10 @@ Typical deployment flow (see the README for the full walkthrough)::
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -136,6 +137,16 @@ def _restore_autoencoder(manifest: dict, arrays: Arrays) -> AutoencoderDetector:
 # --------------------------------------------------------------------------- #
 # Tree / neighbour detectors: node tables and reference sets
 # --------------------------------------------------------------------------- #
+@contextmanager
+def _malformed_nodes(name: str) -> Iterator[None]:
+    """Turn a tree model's refusal of its node table into a SerializationError."""
+    try:
+        yield
+    except ValueError as error:
+        raise SerializationError(f"{name} artifact has a malformed node table: {error}") \
+            from error
+
+
 def _extract_gbrf(detector: GBRFDetector) -> Tuple[dict, Arrays]:
     arrays = {f"model.{name}": value
               for name, value in detector.model.to_arrays().items()}
@@ -147,7 +158,8 @@ def _restore_gbrf(manifest: dict, arrays: Arrays) -> GBRFDetector:
     model_arrays = {name[len("model."):]: value for name, value in arrays.items()
                     if name.startswith("model.")}
     n_features = detector._tap_indices.shape[0] * detector.config.n_channels
-    detector.model.load_arrays(model_arrays, n_features)
+    with _malformed_nodes("GBRF"):
+        detector.model.load_arrays(model_arrays, n_features)
     return detector
 
 
@@ -161,7 +173,8 @@ def _restore_isolation_forest(manifest: dict, arrays: Arrays) -> IsolationForest
     detector = IsolationForestDetector(IsolationForestConfig(**manifest["config"]))
     forest_arrays = {name[len("forest."):]: value for name, value in arrays.items()
                      if name.startswith("forest.")}
-    detector.forest.load_arrays(forest_arrays)
+    with _malformed_nodes("Isolation Forest"):
+        detector.forest.load_arrays(forest_arrays, detector.config.n_channels)
     return detector
 
 

@@ -256,10 +256,6 @@ class ScoringSession:
         return self._adapter.events if self._adapter is not None else []
 
     @property
-    def adaptation_state(self) -> Optional[AdaptationState]:
-        return self._adapter
-
-    @property
     def incremental_active(self) -> bool:
         """Whether the O(1)-per-sample incremental lane scores this stream."""
         return self._scorer is not None

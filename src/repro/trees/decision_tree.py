@@ -8,43 +8,16 @@ binary splitting, as specified in the paper's implementation details
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
-__all__ = ["DecisionTreeRegressor", "TreeNode"]
+from .nodes import as_rows, node_table, traverse
 
+__all__ = ["DecisionTreeRegressor"]
 
-@dataclass
-class TreeNode:
-    """A node of a regression tree.
-
-    Leaves have ``feature == -1`` and carry the mean target ``value``.
-    Internal nodes route samples with ``x[feature] <= threshold`` to the left
-    child and the rest to the right child.
-    """
-
-    feature: int = -1
-    threshold: float = 0.0
-    value: float = 0.0
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
-
-    def depth(self) -> int:
-        """Height of the subtree rooted at this node (leaf = 0)."""
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
-
-    def count_leaves(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.count_leaves() + self.right.count_leaves()
+NODE_KEYS = ("feature", "threshold", "value", "left", "right")
+_ROOT = np.zeros(1, dtype=np.int64)
 
 
 class DecisionTreeRegressor:
@@ -78,12 +51,9 @@ class DecisionTreeRegressor:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self._rng = rng if rng is not None else np.random.default_rng()
-        self.root: Optional[TreeNode] = None
+        self.nodes_: Optional[Dict[str, np.ndarray]] = None
         self.n_features_: Optional[int] = None
 
-    # ------------------------------------------------------------------ #
-    # Fitting
-    # ------------------------------------------------------------------ #
     def fit(self, features: np.ndarray, targets: np.ndarray) -> "DecisionTreeRegressor":
         """Grow the tree on ``features`` (n_samples, n_features) and ``targets``."""
         features = np.asarray(features, dtype=np.float64)
@@ -95,27 +65,32 @@ class DecisionTreeRegressor:
         if features.shape[0] == 0:
             raise ValueError("cannot fit a tree on an empty dataset")
         self.n_features_ = features.shape[1]
-        self.root = self._grow(features, targets, depth=0)
+        nodes: List[list] = []
+        self._grow(features, targets, 0, nodes)
+        self.nodes_ = node_table(nodes, NODE_KEYS)
         return self
 
-    def _grow(self, features: np.ndarray, targets: np.ndarray, depth: int) -> TreeNode:
-        node = TreeNode(value=float(targets.mean()))
+    def _grow(self, features: np.ndarray, targets: np.ndarray, depth: int,
+              nodes: List[list]) -> int:
+        """Append the subtree for these samples to ``nodes`` in preorder; return its root."""
+        index = len(nodes)
+        node = [-1, 0.0, float(targets.mean()), -1, -1]
+        nodes.append(node)
         n_samples = targets.shape[0]
         if (self.max_depth is not None and depth >= self.max_depth) \
                 or n_samples < self.min_samples_split \
                 or np.allclose(targets, targets[0]):
-            return node
+            return index
 
         feature, threshold = self._best_split(features, targets)
         if feature < 0:
-            return node
+            return index
 
         mask = features[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._grow(features[mask], targets[mask], depth + 1)
-        node.right = self._grow(features[~mask], targets[~mask], depth + 1)
-        return node
+        node[0], node[1] = feature, threshold
+        node[3] = self._grow(features[mask], targets[mask], depth + 1, nodes)
+        node[4] = self._grow(features[~mask], targets[~mask], depth + 1, nodes)
+        return index
 
     def _candidate_features(self, n_features: int) -> np.ndarray:
         if self.max_features is None or self.max_features >= n_features:
@@ -169,109 +144,15 @@ class DecisionTreeRegressor:
                 )
         return best_feature, best_threshold
 
-    # ------------------------------------------------------------------ #
-    # Prediction and introspection
-    # ------------------------------------------------------------------ #
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predict targets for ``features`` (n_samples, n_features)."""
-        if self.root is None:
+        if self.nodes_ is None:
             raise RuntimeError("predict() called before fit()")
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim == 1:
-            features = features.reshape(1, -1)
-        if features.shape[1] != self.n_features_:
-            raise ValueError(
-                f"expected {self.n_features_} features, got {features.shape[1]}"
-            )
-        output = np.empty(features.shape[0])
-        for index, row in enumerate(features):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            output[index] = node.value
-        return output
+        leaf, _ = traverse(self.nodes_, _ROOT, as_rows(features, self.n_features_))
+        return self.nodes_["value"][leaf[0]]
 
-    @property
-    def depth(self) -> int:
-        if self.root is None:
-            raise RuntimeError("tree has not been fitted")
-        return self.root.depth()
-
-    @property
-    def n_leaves(self) -> int:
-        if self.root is None:
-            raise RuntimeError("tree has not been fitted")
-        return self.root.count_leaves()
-
-    def node_count(self) -> int:
-        """Total number of nodes (internal + leaves)."""
-        def count(node: TreeNode) -> int:
-            if node.is_leaf:
-                return 1
-            return 1 + count(node.left) + count(node.right)
-
-        if self.root is None:
-            raise RuntimeError("tree has not been fitted")
-        return count(self.root)
-
-    # ------------------------------------------------------------------ #
-    # Array (de)serialisation (used by repro.serialize)
-    # ------------------------------------------------------------------ #
     def to_arrays(self) -> Dict[str, np.ndarray]:
-        """Flatten the fitted tree into parallel preorder node arrays.
-
-        ``feature`` is -1 at leaves; ``left``/``right`` hold child node
-        indices (-1 at leaves).  The exact float64 thresholds and leaf values
-        are preserved, so a tree rebuilt with :meth:`from_arrays` routes and
-        predicts bit-identically.
-        """
-        if self.root is None:
+        """The fitted tree's preorder node table; ``value`` is each node's mean target."""
+        if self.nodes_ is None:
             raise RuntimeError("to_arrays() called before fit()")
-        features, thresholds, values, lefts, rights = [], [], [], [], []
-
-        def visit(node: TreeNode) -> int:
-            index = len(features)
-            features.append(node.feature)
-            thresholds.append(node.threshold)
-            values.append(node.value)
-            lefts.append(-1)
-            rights.append(-1)
-            if not node.is_leaf:
-                lefts[index] = visit(node.left)
-                rights[index] = visit(node.right)
-            return index
-
-        visit(self.root)
-        return {
-            "feature": np.asarray(features, dtype=np.int64),
-            "threshold": np.asarray(thresholds, dtype=np.float64),
-            "value": np.asarray(values, dtype=np.float64),
-            "left": np.asarray(lefts, dtype=np.int64),
-            "right": np.asarray(rights, dtype=np.int64),
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays: Dict[str, np.ndarray], n_features: int,
-                    **constructor_kwargs) -> "DecisionTreeRegressor":
-        """Rebuild a fitted tree from :meth:`to_arrays` output."""
-        feature = np.asarray(arrays["feature"], dtype=np.int64)
-        threshold = np.asarray(arrays["threshold"], dtype=np.float64)
-        value = np.asarray(arrays["value"], dtype=np.float64)
-        left = np.asarray(arrays["left"], dtype=np.int64)
-        right = np.asarray(arrays["right"], dtype=np.int64)
-        if feature.size == 0:
-            raise ValueError("node arrays are empty")
-
-        def build(index: int) -> TreeNode:
-            node = TreeNode(feature=int(feature[index]),
-                            threshold=float(threshold[index]),
-                            value=float(value[index]))
-            if node.feature >= 0:
-                node.left = build(int(left[index]))
-                node.right = build(int(right[index]))
-            return node
-
-        tree = cls(**constructor_kwargs)
-        tree.n_features_ = int(n_features)
-        tree.root = build(0)
-        return tree
+        return {key: array.copy() for key, array in self.nodes_.items()}

@@ -16,9 +16,31 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .decision_tree import DecisionTreeRegressor
+from .decision_tree import NODE_KEYS, DecisionTreeRegressor
+from .nodes import as_rows, concatenate, load_nodes, row_blocks, traverse
 
 __all__ = ["GradientBoostingRegressor", "MultiOutputGradientBoosting"]
+
+
+def _boosted_sum(nodes: Dict[str, np.ndarray], rows: np.ndarray,
+                 initial: np.ndarray, learning_rate: float) -> np.ndarray:
+    """(n_rows, n_outputs): ``initial`` plus each output's shrunken leaf values.
+
+    ``nodes`` holds the outputs' trees output-major, equally many each.  One
+    traversal covers every (tree, row) pair; the sum loops over trees in
+    tree order, vectorised over (rows, outputs), so the bits match adding
+    one tree's prediction at a time.
+    """
+    roots = nodes["tree_offsets"][:-1]
+    blocks = []
+    for block in row_blocks(rows.shape[0], roots.shape[0]):
+        leaf, _ = traverse(nodes, roots, rows[block])
+        values = nodes["value"][leaf].reshape(initial.shape[0], -1, leaf.shape[1])
+        output = np.repeat(initial[None, :], leaf.shape[1], axis=0)
+        for stage in range(values.shape[1]):
+            output = output + learning_rate * values[:, stage].T
+        blocks.append(output)
+    return np.concatenate(blocks)
 
 
 class GradientBoostingRegressor:
@@ -41,7 +63,8 @@ class GradientBoostingRegressor:
         self.subsample = subsample
         self.max_features = max_features
         self._rng = rng if rng is not None else np.random.default_rng()
-        self.trees_: List[DecisionTreeRegressor] = []
+        self.nodes_: Optional[Dict[str, np.ndarray]] = None
+        self.n_features_: Optional[int] = None
         self.initial_prediction_: float = 0.0
         self.train_scores_: List[float] = []
 
@@ -54,7 +77,7 @@ class GradientBoostingRegressor:
         if features.shape[0] == 0:
             raise ValueError("cannot fit on an empty dataset")
 
-        self.trees_ = []
+        tables = []
         self.train_scores_ = []
         self.initial_prediction_ = float(targets.mean())
         current = np.full_like(targets, self.initial_prediction_)
@@ -67,83 +90,39 @@ class GradientBoostingRegressor:
                 indices = self._rng.choice(n_samples, size=size, replace=False)
             else:
                 indices = slice(None)
-            tree = DecisionTreeRegressor(
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=self.max_features,
-                rng=self._rng,
-            )
+            tree = DecisionTreeRegressor(max_depth=self.max_depth, rng=self._rng,
+                                         min_samples_leaf=self.min_samples_leaf,
+                                         max_features=self.max_features)
             tree.fit(features[indices], residuals[indices])
             update = tree.predict(features)
             current = current + self.learning_rate * update
-            self.trees_.append(tree)
+            tables.append(tree.nodes_)
             self.train_scores_.append(float(np.mean((targets - current) ** 2)))
+        self.n_features_ = features.shape[1]
+        self.nodes_ = concatenate(tables, NODE_KEYS)
         return self
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predict targets by summing the shrunken tree outputs."""
-        if not self.trees_:
+        if self.nodes_ is None:
             raise RuntimeError("predict() called before fit()")
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim == 1:
-            features = features.reshape(1, -1)
-        output = np.full(features.shape[0], self.initial_prediction_)
-        for tree in self.trees_:
-            output = output + self.learning_rate * tree.predict(features)
-        return output
+        return _boosted_sum(self.nodes_, as_rows(features, self.n_features_),
+                            np.asarray([self.initial_prediction_]), self.learning_rate).ravel()
 
-    def staged_predict(self, features: np.ndarray) -> np.ndarray:
-        """Predictions after each boosting stage, shape (n_estimators, n_samples)."""
-        if not self.trees_:
-            raise RuntimeError("staged_predict() called before fit()")
-        features = np.asarray(features, dtype=np.float64)
-        output = np.full(features.shape[0], self.initial_prediction_)
-        stages = np.empty((len(self.trees_), features.shape[0]))
-        for index, tree in enumerate(self.trees_):
-            output = output + self.learning_rate * tree.predict(features)
-            stages[index] = output
-        return stages
-
-    # ------------------------------------------------------------------ #
-    # Array (de)serialisation (used by repro.serialize)
-    # ------------------------------------------------------------------ #
     def to_arrays(self) -> Dict[str, np.ndarray]:
-        """Flatten the fitted ensemble into concatenated node arrays.
-
-        Each tree's preorder node arrays are concatenated; ``tree_offsets``
-        (length ``n_trees + 1``) delimits them.  Child indices stay local to
-        their tree.
-        """
-        if not self.trees_:
+        """The concatenated node table (tree-local children) and offset prediction."""
+        if self.nodes_ is None:
             raise RuntimeError("to_arrays() called before fit()")
-        per_tree = [tree.to_arrays() for tree in self.trees_]
-        offsets = np.zeros(len(per_tree) + 1, dtype=np.int64)
-        for index, arrays in enumerate(per_tree):
-            offsets[index + 1] = offsets[index] + arrays["feature"].shape[0]
-        stacked = {
-            key: np.concatenate([arrays[key] for arrays in per_tree])
-            for key in ("feature", "threshold", "value", "left", "right")
-        }
-        stacked["tree_offsets"] = offsets
-        stacked["initial_prediction"] = np.asarray([self.initial_prediction_])
-        stacked["train_scores"] = np.asarray(self.train_scores_, dtype=np.float64)
-        return stacked
+        arrays = {key: array.copy() for key, array in self.nodes_.items()}
+        arrays["initial_prediction"] = np.asarray([self.initial_prediction_])
+        arrays["train_scores"] = np.asarray(self.train_scores_, dtype=np.float64)
+        return arrays
 
     def load_arrays(self, arrays: Dict[str, np.ndarray], n_features: int) -> \
             "GradientBoostingRegressor":
-        """Restore fitted state (trees + offset prediction) in place."""
-        offsets = np.asarray(arrays["tree_offsets"], dtype=np.int64)
-        self.trees_ = []
-        for index in range(offsets.shape[0] - 1):
-            lo, hi = int(offsets[index]), int(offsets[index + 1])
-            tree_arrays = {key: np.asarray(arrays[key])[lo:hi]
-                           for key in ("feature", "threshold", "value", "left", "right")}
-            self.trees_.append(DecisionTreeRegressor.from_arrays(
-                tree_arrays, n_features,
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=self.max_features,
-            ))
+        """Restore fitted state in place; ``ValueError`` on a malformed node table."""
+        self.nodes_ = load_nodes(arrays, NODE_KEYS, n_features)
+        self.n_features_ = int(n_features)
         self.initial_prediction_ = float(np.asarray(arrays["initial_prediction"])[0])
         self.train_scores_ = [float(v) for v in np.asarray(arrays["train_scores"])]
         return self
@@ -155,6 +134,7 @@ class MultiOutputGradientBoosting:
     The robot stream has many channels; the GBRF detector forecasts each
     channel from the flattened context window, so this wrapper trains an
     independent :class:`GradientBoostingRegressor` per output dimension.
+    Prediction runs one traversal over the trees of every output.
     """
 
     def __init__(self, n_outputs: int, n_estimators: int = 30, learning_rate: float = 0.1,
@@ -166,16 +146,13 @@ class MultiOutputGradientBoosting:
         self.n_outputs = n_outputs
         self._rng = rng if rng is not None else np.random.default_rng()
         self.models_: List[GradientBoostingRegressor] = [
-            GradientBoostingRegressor(
-                n_estimators=n_estimators,
-                learning_rate=learning_rate,
-                max_depth=max_depth,
-                subsample=subsample,
-                max_features=max_features,
-                rng=self._rng,
-            )
+            GradientBoostingRegressor(n_estimators=n_estimators, learning_rate=learning_rate,
+                                      max_depth=max_depth, subsample=subsample,
+                                      max_features=max_features, rng=self._rng)
             for _ in range(n_outputs)
         ]
+        self._nodes: Optional[Dict[str, np.ndarray]] = None
+        self._initial = np.zeros(n_outputs)
 
     def fit(self, features: np.ndarray, targets: np.ndarray) -> "MultiOutputGradientBoosting":
         """Fit every per-channel ensemble; ``targets`` is (n_samples, n_outputs)."""
@@ -186,16 +163,24 @@ class MultiOutputGradientBoosting:
             raise ValueError(f"expected {self.n_outputs} output columns, got {targets.shape[1]}")
         for output_index, model in enumerate(self.models_):
             model.fit(features, targets[:, output_index])
+        self._stack()
         return self
+
+    def _stack(self) -> None:
+        """Concatenate every output's trees, output-major, into one node table."""
+        if len({model.nodes_["tree_offsets"].shape[0] for model in self.models_}) != 1:
+            raise ValueError("every output must hold the same number of trees")
+        self._nodes = concatenate([model.nodes_ for model in self.models_], NODE_KEYS)
+        self._initial = np.asarray([model.initial_prediction_ for model in self.models_])
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predict all output channels; returns (n_samples, n_outputs)."""
-        predictions = [model.predict(features) for model in self.models_]
-        return np.stack(predictions, axis=1)
+        if self._nodes is None:
+            raise RuntimeError("predict() called before fit()")
+        first = self.models_[0]
+        rows = as_rows(features, first.n_features_)
+        return _boosted_sum(self._nodes, rows, self._initial, first.learning_rate)
 
-    # ------------------------------------------------------------------ #
-    # Array (de)serialisation (used by repro.serialize)
-    # ------------------------------------------------------------------ #
     def to_arrays(self) -> Dict[str, np.ndarray]:
         """Flatten every per-channel ensemble, namespaced ``outNN.<key>``."""
         stacked: Dict[str, np.ndarray] = {}
@@ -214,4 +199,5 @@ class MultiOutputGradientBoosting:
             if not model_arrays:
                 raise KeyError(f"missing arrays for output channel {output_index}")
             model.load_arrays(model_arrays, n_features)
+        self._stack()
         return self

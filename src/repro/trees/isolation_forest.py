@@ -10,12 +10,15 @@ larger values mean "more anomalous".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
-__all__ = ["IsolationForest", "IsolationTreeNode", "average_path_length"]
+from .nodes import as_rows, concatenate, load_nodes, node_table, row_blocks, traverse
+
+__all__ = ["IsolationForest", "average_path_length"]
+
+_NODE_KEYS = ("feature", "threshold", "size", "left", "right")
 
 
 def average_path_length(n_samples: int | np.ndarray) -> np.ndarray:
@@ -32,74 +35,11 @@ def average_path_length(n_samples: int | np.ndarray) -> np.ndarray:
     return result
 
 
-@dataclass
-class IsolationTreeNode:
-    """A node of an isolation tree."""
-
-    feature: int = -1
-    threshold: float = 0.0
-    size: int = 0
-    left: Optional["IsolationTreeNode"] = None
-    right: Optional["IsolationTreeNode"] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
-
-
-class _IsolationTree:
-    """A single isolation tree grown on a subsample."""
-
-    def __init__(self, height_limit: int, rng: np.random.Generator) -> None:
-        self.height_limit = height_limit
-        self._rng = rng
-        self.root: Optional[IsolationTreeNode] = None
-
-    def fit(self, data: np.ndarray) -> "_IsolationTree":
-        self.root = self._grow(data, depth=0)
-        return self
-
-    def _grow(self, data: np.ndarray, depth: int) -> IsolationTreeNode:
-        n_samples = data.shape[0]
-        if depth >= self.height_limit or n_samples <= 1:
-            return IsolationTreeNode(size=n_samples)
-        # Choose a feature with non-zero spread; give up after a few attempts
-        # (the subsample may be constant in every dimension).
-        for _ in range(data.shape[1]):
-            feature = int(self._rng.integers(0, data.shape[1]))
-            low = data[:, feature].min()
-            high = data[:, feature].max()
-            if high > low:
-                break
-        else:
-            return IsolationTreeNode(size=n_samples)
-        if high <= low:
-            return IsolationTreeNode(size=n_samples)
-        threshold = float(self._rng.uniform(low, high))
-        mask = data[:, feature] < threshold
-        if not mask.any() or mask.all():
-            return IsolationTreeNode(size=n_samples)
-        node = IsolationTreeNode(feature=feature, threshold=threshold, size=n_samples)
-        node.left = self._grow(data[mask], depth + 1)
-        node.right = self._grow(data[~mask], depth + 1)
-        return node
-
-    def path_length(self, data: np.ndarray) -> np.ndarray:
-        """Path length h(x) for every row, including the c(size) leaf correction."""
-        lengths = np.empty(data.shape[0])
-        for index, row in enumerate(data):
-            node = self.root
-            depth = 0
-            while not node.is_leaf:
-                node = node.left if row[node.feature] < node.threshold else node.right
-                depth += 1
-            correction = float(average_path_length(node.size)) if node.size > 1 else 0.0
-            lengths[index] = depth + correction
-        return lengths
-
-
 class IsolationForest:
-    """Ensemble of isolation trees with the standard anomaly score."""
+    """Ensemble of isolation trees with the standard anomaly score.
+
+    A row goes left when ``row[feature] < threshold``.
+    """
 
     def __init__(self, n_estimators: int = 100, max_samples: int = 256,
                  contamination: float = 0.1,
@@ -114,9 +54,11 @@ class IsolationForest:
         self.max_samples = max_samples
         self.contamination = contamination
         self._rng = rng if rng is not None else np.random.default_rng()
-        self.trees_: List[_IsolationTree] = []
+        self.nodes_: Optional[Dict[str, np.ndarray]] = None
+        self.n_features_: Optional[int] = None
         self.threshold_: Optional[float] = None
         self._sample_size: int = max_samples
+        self._correction = np.zeros(0)
 
     def fit(self, data: np.ndarray) -> "IsolationForest":
         """Fit the forest on (assumed mostly normal) data."""
@@ -129,29 +71,70 @@ class IsolationForest:
         self._sample_size = min(self.max_samples, n_samples)
         height_limit = int(np.ceil(np.log2(max(self._sample_size, 2))))
 
-        self.trees_ = []
+        trees = []
         for _ in range(self.n_estimators):
             indices = self._rng.choice(n_samples, size=self._sample_size, replace=False)
-            tree = _IsolationTree(height_limit, self._rng)
-            tree.fit(data[indices])
-            self.trees_.append(tree)
+            nodes: List[list] = []
+            self._grow(data[indices], 0, height_limit, nodes)
+            trees.append(node_table(nodes, _NODE_KEYS))
+        self._adopt(concatenate(trees, _NODE_KEYS), data.shape[1])
 
         # Contamination defines the score threshold used by predict().
         train_scores = self.score_samples(data)
         self.threshold_ = float(np.quantile(train_scores, 1.0 - self.contamination))
         return self
 
+    def _grow(self, data: np.ndarray, depth: int, height_limit: int, nodes: List[list]) -> int:
+        """Append an isolation subtree to ``nodes`` in preorder; return its root."""
+        index = len(nodes)
+        n_samples = data.shape[0]
+        node = [-1, 0.0, n_samples, -1, -1]
+        nodes.append(node)
+        if depth >= height_limit or n_samples <= 1:
+            return index
+        # Choose a feature with non-zero spread; give up after a few attempts
+        # (the subsample may be constant in every dimension).
+        for _ in range(data.shape[1]):
+            feature = int(self._rng.integers(0, data.shape[1]))
+            low, high = data[:, feature].min(), data[:, feature].max()
+            if high > low:
+                break
+        else:
+            return index
+        threshold = float(self._rng.uniform(low, high))
+        mask = data[:, feature] < threshold
+        if not mask.any() or mask.all():
+            return index
+        node[0], node[1] = feature, threshold
+        node[3] = self._grow(data[mask], depth + 1, height_limit, nodes)
+        node[4] = self._grow(data[~mask], depth + 1, height_limit, nodes)
+        return index
+
+    def _adopt(self, nodes: Dict[str, np.ndarray], n_features: int) -> None:
+        """Hold ``nodes`` and each node's c(size) leaf correction."""
+        self.nodes_ = nodes
+        self.n_features_ = int(n_features)
+        sizes, inverse = np.unique(nodes["size"], return_inverse=True)
+        # One scalar c(size) call per distinct size: a SIMD array log may round differently.
+        corrections = [float(average_path_length(int(size))) if size > 1 else 0.0
+                       for size in sizes]
+        self._correction = np.asarray(corrections, dtype=np.float64)[inverse]
+
     def score_samples(self, data: np.ndarray) -> np.ndarray:
         """Anomaly score in (0, 1); larger means more anomalous."""
-        if not self.trees_:
+        if self.nodes_ is None:
             raise RuntimeError("score_samples() called before fit()")
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim == 1:
-            data = data.reshape(1, -1)
-        path_lengths = np.zeros(data.shape[0])
-        for tree in self.trees_:
-            path_lengths += tree.path_length(data)
-        mean_path = path_lengths / len(self.trees_)
+        rows = as_rows(data, self.n_features_)
+        roots = self.nodes_["tree_offsets"][:-1]
+        totals = []
+        for block in row_blocks(rows.shape[0], roots.shape[0]):
+            leaf, depth = traverse(self.nodes_, roots, rows[block], strict=True)
+            # Path length h(x) per (tree, row), summed over trees in tree order.
+            path_lengths = np.zeros(leaf.shape[1])
+            for tree_lengths in depth + self._correction[leaf]:
+                path_lengths += tree_lengths
+            totals.append(path_lengths)
+        mean_path = np.concatenate(totals) / roots.shape[0]
         normaliser = float(average_path_length(self._sample_size))
         return np.power(2.0, -mean_path / max(normaliser, 1e-12))
 
@@ -162,77 +145,21 @@ class IsolationForest:
         scores = self.score_samples(data)
         return np.where(scores > self.threshold_, -1, 1)
 
-    # ------------------------------------------------------------------ #
-    # Array (de)serialisation (used by repro.serialize)
-    # ------------------------------------------------------------------ #
     def to_arrays(self) -> Dict[str, np.ndarray]:
-        """Flatten the fitted forest into concatenated preorder node arrays."""
-        if not self.trees_:
+        """The concatenated node table (tree-local children), sample size and threshold."""
+        if self.nodes_ is None:
             raise RuntimeError("to_arrays() called before fit()")
-        features, thresholds, sizes, lefts, rights = [], [], [], [], []
-        offsets = [0]
+        arrays = {key: array.copy() for key, array in self.nodes_.items()}
+        arrays["sample_size"] = np.asarray([self._sample_size], dtype=np.int64)
+        arrays["score_threshold"] = np.asarray(
+            [np.nan if self.threshold_ is None else self.threshold_]
+        )
+        return arrays
 
-        for tree in self.trees_:
-            base = len(features)
-
-            def visit(node: IsolationTreeNode) -> int:
-                local = len(features) - base
-                features.append(node.feature)
-                thresholds.append(node.threshold)
-                sizes.append(node.size)
-                lefts.append(-1)
-                rights.append(-1)
-                if not node.is_leaf:
-                    lefts[base + local] = visit(node.left)
-                    rights[base + local] = visit(node.right)
-                return local
-
-            visit(tree.root)
-            offsets.append(len(features))
-        return {
-            "feature": np.asarray(features, dtype=np.int64),
-            "threshold": np.asarray(thresholds, dtype=np.float64),
-            "size": np.asarray(sizes, dtype=np.int64),
-            "left": np.asarray(lefts, dtype=np.int64),
-            "right": np.asarray(rights, dtype=np.int64),
-            "tree_offsets": np.asarray(offsets, dtype=np.int64),
-            "sample_size": np.asarray([self._sample_size], dtype=np.int64),
-            "score_threshold": np.asarray(
-                [np.nan if self.threshold_ is None else self.threshold_]
-            ),
-        }
-
-    def load_arrays(self, arrays: Dict[str, np.ndarray]) -> "IsolationForest":
-        """Restore a fitted forest in place from :meth:`to_arrays` output.
-
-        Child indices in the node arrays are local to each tree's slice.
-        """
-        offsets = np.asarray(arrays["tree_offsets"], dtype=np.int64)
-        feature = np.asarray(arrays["feature"], dtype=np.int64)
-        threshold = np.asarray(arrays["threshold"], dtype=np.float64)
-        size = np.asarray(arrays["size"], dtype=np.int64)
-        left = np.asarray(arrays["left"], dtype=np.int64)
-        right = np.asarray(arrays["right"], dtype=np.int64)
-
+    def load_arrays(self, arrays: Dict[str, np.ndarray], n_features: int) -> "IsolationForest":
+        """Restore a fitted forest in place; ``ValueError`` on a malformed node table."""
+        self._adopt(load_nodes(arrays, _NODE_KEYS, n_features), n_features)
         self._sample_size = int(np.asarray(arrays["sample_size"])[0])
         stored_threshold = float(np.asarray(arrays["score_threshold"])[0])
         self.threshold_ = None if np.isnan(stored_threshold) else stored_threshold
-        height_limit = int(np.ceil(np.log2(max(self._sample_size, 2))))
-
-        def build(lo: int, index: int) -> IsolationTreeNode:
-            node = IsolationTreeNode(
-                feature=int(feature[lo + index]),
-                threshold=float(threshold[lo + index]),
-                size=int(size[lo + index]),
-            )
-            if not node.is_leaf:
-                node.left = build(lo, int(left[lo + index]))
-                node.right = build(lo, int(right[lo + index]))
-            return node
-
-        self.trees_ = []
-        for tree_index in range(offsets.shape[0] - 1):
-            tree = _IsolationTree(height_limit, self._rng)
-            tree.root = build(int(offsets[tree_index]), 0)
-            self.trees_.append(tree)
         return self

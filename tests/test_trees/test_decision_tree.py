@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.trees import DecisionTreeRegressor
+from repro.trees import DecisionTreeRegressor, traverse
+
+ROOT = np.zeros(1, dtype=np.int64)
+
+
+def leaves_and_depths(tree, x):
+    """Each training row's leaf index and depth, from the fitted node arrays."""
+    leaf, depth = traverse(tree.to_arrays(), ROOT, np.ascontiguousarray(x, dtype=np.float64))
+    return leaf[0], depth[0]
 
 
 class TestFitting:
@@ -37,29 +45,26 @@ class TestFitting:
         x = rng.normal(size=(200, 3))
         y = rng.normal(size=200)
         tree = DecisionTreeRegressor(max_depth=3).fit(x, y)
-        assert tree.depth <= 3
+        # Every leaf holds a training row, so the deepest row is the tree's depth.
+        _, depth = leaves_and_depths(tree, x)
+        assert depth.max() == 3
 
     def test_min_samples_leaf(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(50, 2))
         y = rng.normal(size=50)
         tree = DecisionTreeRegressor(min_samples_leaf=10).fit(x, y)
-
-        def smallest_leaf(node, data_mask, features):
-            if node.is_leaf:
-                return data_mask.sum()
-            left = data_mask & (features[:, node.feature] <= node.threshold)
-            right = data_mask & ~ (features[:, node.feature] <= node.threshold)
-            return min(smallest_leaf(node.left, left, features),
-                       smallest_leaf(node.right, right, features))
-
-        assert smallest_leaf(tree.root, np.ones(50, dtype=bool), x) >= 10
+        leaf, _ = leaves_and_depths(tree, x)
+        is_leaf = tree.to_arrays()["feature"] < 0
+        rows_per_leaf = np.bincount(leaf, minlength=is_leaf.size)[is_leaf]
+        assert is_leaf.sum() > 1
+        assert rows_per_leaf.min() >= 10
 
     def test_constant_target_single_leaf(self):
         x = np.random.default_rng(0).normal(size=(30, 2))
         y = np.full(30, 3.3)
         tree = DecisionTreeRegressor().fit(x, y)
-        assert tree.n_leaves == 1
+        assert tree.to_arrays()["feature"].tolist() == [-1]
         np.testing.assert_allclose(tree.predict(x), 3.3)
 
     def test_max_features_subsampling_still_fits(self):
@@ -102,7 +107,8 @@ class TestValidationAndIntrospection:
         x = rng.normal(size=(100, 2))
         y = rng.normal(size=100)
         tree = DecisionTreeRegressor(max_depth=4).fit(x, y)
-        assert tree.node_count() == 2 * tree.n_leaves - 1
+        feature = tree.to_arrays()["feature"]
+        assert (feature >= 0).sum() == (feature < 0).sum() - 1
 
     def test_single_row_prediction(self):
         tree = DecisionTreeRegressor(max_depth=2).fit(np.arange(20.0).reshape(-1, 1),

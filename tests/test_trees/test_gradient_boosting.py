@@ -27,15 +27,6 @@ class TestGradientBoostingRegressor:
         assert scores[-1] < scores[0]
         assert len(scores) == 20
 
-    def test_staged_predict_shape_and_final_consistency(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(100, 2))
-        y = x[:, 0]
-        model = GradientBoostingRegressor(n_estimators=10, rng=rng).fit(x, y)
-        stages = model.staged_predict(x)
-        assert stages.shape == (10, 100)
-        np.testing.assert_allclose(stages[-1], model.predict(x))
-
     def test_subsample_runs(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(200, 2))
@@ -52,6 +43,15 @@ class TestGradientBoostingRegressor:
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
             GradientBoostingRegressor().predict(np.zeros((1, 2)))
+
+    def test_wrong_feature_count_raises(self):
+        model = GradientBoostingRegressor(n_estimators=2).fit(np.zeros((10, 3)), np.arange(10.0))
+        with pytest.raises(ValueError, match="expected 3 features"):
+            model.predict(np.zeros((1, 5)))
+        multi = MultiOutputGradientBoosting(n_outputs=2, n_estimators=2)
+        multi.fit(np.zeros((10, 3)), np.zeros((10, 2)))
+        with pytest.raises(ValueError, match="expected 3 features"):
+            multi.predict(np.zeros((1, 2)))
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

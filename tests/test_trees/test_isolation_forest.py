@@ -56,6 +56,11 @@ class TestIsolationForest:
         with pytest.raises(RuntimeError):
             IsolationForest().predict(np.zeros((1, 2)))
 
+    def test_wrong_feature_count_raises(self):
+        forest = IsolationForest(n_estimators=3).fit(np.random.default_rng(5).normal(size=(50, 2)))
+        with pytest.raises(ValueError, match="expected 2 features"):
+            forest.score_samples(np.zeros((1, 4)))
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             IsolationForest(n_estimators=0)
